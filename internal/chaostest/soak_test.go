@@ -40,12 +40,13 @@ func TestChaosSoak(t *testing.T) {
 		workers, iters = 4, 10
 	}
 
+	var mw *chaostest.MiddlewareHandler
 	srv, err := server.New(server.Config{
 		Addr:           "127.0.0.1:0",
 		PoolSize:       4,
 		RequestTimeout: 10 * time.Second,
 		Wrap: func(next http.Handler) http.Handler {
-			return chaostest.Middleware(next, chaostest.FaultConfig{
+			mw = chaostest.Middleware(next, chaostest.FaultConfig{
 				Seed:        101,
 				LatencyProb: 0.10,
 				LatencyMin:  time.Millisecond,
@@ -53,6 +54,7 @@ func TestChaosSoak(t *testing.T) {
 				Err503Prob:  0.08,
 				ResetProb:   0.05,
 			})
+			return mw
 		},
 	})
 	if err != nil {
@@ -65,7 +67,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// Golden /v1/plan bytes over a clean connection, before any chaos
 	// traffic touches the cache.
-	golden := rawPlan(t, base)
+	golden := rawPlan(t, mw, base)
 
 	policy := resilience.RetryPolicy{
 		MaxAttempts:      resilience.UnlimitedAttempts,
@@ -152,13 +154,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// The storm must not have perturbed the canonical plan bytes.
-	if got := rawPlan(t, base); !bytes.Equal(got, golden) {
+	if got := rawPlan(t, mw, base); !bytes.Equal(got, golden) {
 		t.Errorf("/v1/plan diverged from golden after soak:\n got: %s\nwant: %s", got, golden)
 	}
 
 	// Server-side admission families are on /metrics; the client's
 	// breaker families render from its group.
-	metricsBody := rawGet(t, base+"/metrics")
+	metricsBody := rawGet(t, mw, base+"/metrics")
 	for _, want := range []string{
 		"dpmd_admission_admitted_total",
 		"dpmd_admission_shed_total",
@@ -276,24 +278,53 @@ func soakFleet(ctx context.Context, c *client.Client, device string, seq uint64,
 	return nil
 }
 
+// rawAttempts bounds the retries of one clean request. Each attempt
+// meets an injected server fault with probability 0.13, so ten in a
+// row (~1e-9) means the middleware is not the cause.
+const rawAttempts = 10
+
+// rawDo sends one request over a clean client, retrying only the
+// faults the server middleware itself injected: a 503 it wrote, or a
+// connection it aborted. The middleware's counters tell an injected
+// fault from a genuine one, since nothing else is in flight. Any
+// other non-200 or transport error fails the test at once.
+func rawDo(t *testing.T, mw *chaostest.MiddlewareHandler, send func() (*http.Response, error)) []byte {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		before := mw.Stats()
+		resp, err := send()
+		var (
+			status int
+			data   []byte
+		)
+		if err == nil {
+			status = resp.StatusCode
+			data, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		after := mw.Stats()
+		injected := (err != nil && after.Resets > before.Resets) ||
+			(err == nil && status == http.StatusServiceUnavailable && after.Err503s > before.Err503s)
+		switch {
+		case injected && attempt < rawAttempts:
+			continue
+		case err != nil:
+			t.Fatalf("clean request (attempt %d): %v", attempt, err)
+		case status != http.StatusOK:
+			t.Fatalf("clean request status %d (attempt %d): %s", status, attempt, data)
+		}
+		return data
+	}
+}
+
 // rawPlan fetches /v1/plan over a clean client and returns the exact
 // body bytes.
-func rawPlan(t *testing.T, base string) []byte {
+func rawPlan(t *testing.T, mw *chaostest.MiddlewareHandler, base string) []byte {
 	t.Helper()
 	body := []byte(`{"scenario":` + scenarioIJSON(t) + `}`)
-	resp, err := http.Post(base+"/v1/plan", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("clean /v1/plan status %d: %s", resp.StatusCode, data)
-	}
-	return data
+	return rawDo(t, mw, func() (*http.Response, error) {
+		return http.Post(base+"/v1/plan", "application/json", bytes.NewReader(body))
+	})
 }
 
 // scenarioIJSON renders Scenario I in its wire form.
@@ -307,16 +338,7 @@ func scenarioIJSON(t *testing.T) string {
 }
 
 // rawGet fetches a URL over a clean client.
-func rawGet(t *testing.T, url string) string {
+func rawGet(t *testing.T, mw *chaostest.MiddlewareHandler, url string) string {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
+	return string(rawDo(t, mw, func() (*http.Response, error) { return http.Get(url) }))
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkFleetTick measures the steady-state session tick: one slot
-// report through the partition event loop and Algorithm 3, no
+// report under the partition lock and through Algorithm 3, no
 // checkpoint on either side. This is the per-device per-τ cost the
 // fleet layer buys versus the stateless /v1/replan round-trip.
 func BenchmarkFleetTick(b *testing.B) {

@@ -7,17 +7,18 @@
 // optional checkpoint) and thereafter streams lightweight telemetry
 // ticks, getting delta replans back with no checkpoint on the wire.
 //
-// Session state is sharded across goroutine-owned partitions routed
-// by FNV-1a hash on the device id (mirroring plancache.Sharded's
-// routing). Each partition is a single-writer event loop: every
-// operation on a session executes inside its partition's goroutine,
-// so sessions need no per-session locks and a tick is a channel
-// round-trip plus a few hundred nanoseconds of Algorithm 3. Idle
-// sessions are evicted on a TTL with their checkpoint parked for
-// handback — a re-register resumes exactly where the evicted session
-// stopped — and Drain removes every live session at once, returning
-// each final checkpoint exactly once. Close stops the partition
-// goroutines for shutdown.
+// Session state is sharded across lock-owned partitions routed by
+// FNV-1a hash on the device id (mirroring plancache.Sharded's
+// routing). Each partition has one mutex and a single writer at a
+// time: every operation on a session runs inline in the caller's
+// goroutine under its partition's lock, so sessions need no
+// per-session locks and a tick costs one uncontended lock plus a few
+// hundred nanoseconds of Algorithm 3. Idle sessions are evicted on a
+// TTL by one manager-owned sweeper goroutine, with their checkpoint
+// parked for handback — a re-register resumes exactly where the
+// evicted session stopped — and Drain removes every live session at
+// once, returning each final checkpoint exactly once. Close stops the
+// sweeper and hands back whatever sessions remained.
 //
 // Semantics are pinned to the stateless path: a session fed N slot
 // reports yields byte-identical replan output to N /v1/replan calls
@@ -95,8 +96,8 @@ type Config struct {
 	// partition; the oldest parked entry is dropped when full.
 	// 0 means 1024 per partition.
 	ParkedCapacity int
-	// SweepInterval is how often each partition scans for idle
-	// sessions; 0 means max(IdleTTL/4, 1s). Ignored when IdleTTL is 0.
+	// SweepInterval is how often the sweeper scans the partitions for
+	// idle sessions; 0 means max(IdleTTL/4, 1s). Ignored when IdleTTL is 0.
 	SweepInterval time.Duration
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
@@ -148,17 +149,10 @@ type PartitionStats struct {
 	// Sessions and Parked are the partition's current session and
 	// parked-checkpoint counts.
 	Sessions, Parked int
-	// Depth is the number of commands queued for the partition's
-	// event loop right now.
+	// Depth is the number of callers waiting for the partition's
+	// lock right now.
 	Depth int
 }
-
-// lifecycle states.
-const (
-	lifeIdle = iota
-	lifeRunning
-	lifeClosed
-)
 
 // Manager owns the fleet's live sessions.
 type Manager struct {
@@ -170,16 +164,18 @@ type Manager struct {
 	live atomic.Int64
 	ctr  counters
 
-	mu   sync.Mutex // guards life
-	life int
+	mu         sync.Mutex // orders the sweeper's start against Close
+	sweeping   bool
+	startSweep sync.Once
 
-	stop   chan struct{}
-	closed atomic.Bool
+	stop      chan struct{}
+	sweepDone chan struct{}
+	closed    atomic.Bool
 }
 
-// New validates the configuration and returns a manager. Partition
-// goroutines start lazily on first use, so an unused fleet layer
-// costs nothing.
+// New validates the configuration and returns a manager. The idle
+// sweeper (IdleTTL > 0) starts on the first Register, so an unused
+// fleet layer costs no goroutine.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Partitions < 0 || cfg.Partitions > MaxPartitions {
 		return nil, fmt.Errorf("fleet: partition count %d outside [0, %d]", cfg.Partitions, MaxPartitions)
@@ -208,10 +204,11 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	m := &Manager{
-		cfg:  cfg,
-		mask: uint64(n - 1),
-		now:  cfg.Now,
-		stop: make(chan struct{}),
+		cfg:       cfg,
+		mask:      uint64(n - 1),
+		now:       cfg.Now,
+		stop:      make(chan struct{}),
+		sweepDone: make(chan struct{}),
 	}
 	if m.now == nil {
 		m.now = time.Now
@@ -220,20 +217,12 @@ func New(cfg Config) (*Manager, error) {
 	for i := range m.parts {
 		m.parts[i] = &partition{
 			m:        m,
-			id:       i,
-			cmds:     make(chan command, partitionQueue),
-			exited:   make(chan struct{}),
 			sessions: make(map[string]*session),
 			parked:   make(map[string]*parkedState),
 		}
 	}
 	return m, nil
 }
-
-// partitionQueue is each partition's command-channel depth. A full
-// queue applies backpressure to senders (bounded by their contexts),
-// and the live depth is exported as dpmd_fleet_partition_depth.
-const partitionQueue = 256
 
 // Partitions returns the (power-of-two) partition count.
 func (m *Manager) Partitions() int { return len(m.parts) }
@@ -269,7 +258,7 @@ func (m *Manager) PartitionStats() []PartitionStats {
 		out[i] = PartitionStats{
 			Sessions: int(p.nSessions.Load()),
 			Parked:   int(p.nParked.Load()),
-			Depth:    len(p.cmds),
+			Depth:    int(p.waiting.Load()),
 		}
 	}
 	return out
@@ -290,34 +279,42 @@ func (m *Manager) partitionFor(deviceID string) *partition {
 	return m.parts[h&m.mask]
 }
 
-// start launches the partition loops on first use; it reports false
-// once the manager is closed. Lazy start keeps an unused fleet layer
-// goroutine-free (most servers, benchmarks and tests never touch it).
-func (m *Manager) start() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch m.life {
-	case lifeClosed:
-		return false
-	case lifeIdle:
-		m.life = lifeRunning
-		for _, p := range m.parts {
-			go p.loop()
+// startSweeper launches the idle sweeper on the first Register when
+// IdleTTL is set — only a registered session can go idle. Lazy start
+// keeps an unused fleet layer goroutine-free (most servers,
+// benchmarks and tests never touch it); after the first call it costs
+// one atomic load.
+func (m *Manager) startSweeper() {
+	if m.cfg.IdleTTL <= 0 {
+		return
+	}
+	m.startSweep.Do(func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if !m.closed.Load() {
+			m.sweeping = true
+			go m.sweepLoop()
+		}
+	})
+}
+
+// sweepLoop evicts idle sessions every SweepInterval until Close.
+func (m *Manager) sweepLoop() {
+	defer close(m.sweepDone)
+	t := time.NewTicker(m.cfg.SweepInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			m.SweepNow(context.Background()) //nolint:errcheck // ErrClosed races stop
+		case <-m.stop:
+			return
 		}
 	}
-	return true
 }
 
-// command is one unit of work executed inside a partition's event
-// loop. run executes single-writer against the partition's state;
-// done is closed when it has run.
-type command struct {
-	run  func(p *partition)
-	done chan struct{}
-}
-
-// session is one device's live manager. All fields are owned by the
-// partition goroutine.
+// session is one device's live manager. All fields are guarded by the
+// partition lock.
 type session struct {
 	deviceID   string
 	mgr        *dpm.Manager
@@ -338,72 +335,38 @@ type parkedState struct {
 	parkedAt time.Time
 }
 
-// partition is one goroutine-owned shard of the session table.
+// partition is one lock-owned shard of the session table.
 type partition struct {
-	m      *Manager
-	id     int
-	cmds   chan command
-	exited chan struct{}
+	m  *Manager
+	mu sync.Mutex
 
-	// Owned by the loop goroutine.
+	// Guarded by mu.
 	sessions    map[string]*session
 	parked      map[string]*parkedState
 	parkedOrder []string
 
-	// Gauges mirrored for lock-free Stats reads.
+	// Gauges mirrored for lock-free Stats reads; waiting counts the
+	// callers blocked on mu (dpmd_fleet_partition_depth).
 	nSessions atomic.Int64
 	nParked   atomic.Int64
+	waiting   atomic.Int64
 }
 
-// loop is the partition's single-writer event loop.
-func (p *partition) loop() {
-	var sweep <-chan time.Time
-	if p.m.cfg.IdleTTL > 0 {
-		t := time.NewTicker(p.m.cfg.SweepInterval)
-		defer t.Stop()
-		sweep = t.C
+// lock acquires the partition and reports false, unlocked again, once
+// the manager is closed: Close drains each partition under its lock
+// after setting closed, so an operation that gets the lock later must
+// not touch the handed-back state.
+func (p *partition) lock() bool {
+	if !p.mu.TryLock() {
+		p.waiting.Add(1)
+		p.mu.Lock()
+		p.waiting.Add(-1)
 	}
-	for {
-		select {
-		case cmd := <-p.cmds:
-			cmd.run(p)
-			close(cmd.done)
-		case <-sweep:
-			p.sweepIdle(p.m.now())
-		case <-p.m.stop:
-			close(p.exited)
-			return
-		}
+	if p.m.closed.Load() {
+		p.mu.Unlock()
+		return false
 	}
-}
-
-// do runs fn inside the partition loop and waits for it, honoring ctx
-// and manager shutdown.
-func (p *partition) do(ctx context.Context, fn func(p *partition)) error {
-	if !p.m.start() {
-		return ErrClosed
-	}
-	cmd := command{run: fn, done: make(chan struct{})}
-	select {
-	case p.cmds <- cmd:
-	case <-p.exited:
-		return ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-cmd.done:
-		return nil
-	case <-p.exited:
-		// The loop exited with the command still queued; it will never
-		// run.
-		select {
-		case <-cmd.done:
-			return nil
-		default:
-			return ErrClosed
-		}
-	}
+	return true
 }
 
 // sweepIdle evicts sessions idle past the TTL, parking their
@@ -469,9 +432,7 @@ func (p *partition) unpark(id string) (*parkedState, bool) {
 	return ps, true
 }
 
-// parkedTotal recounts parked entries across partitions. Called only
-// from partition loops right after a mutation; each nParked gauge is
-// authoritative per partition.
+// parkedTotal sums the per-partition parked gauges.
 func (m *Manager) parkedTotal() int64 {
 	var n int64
 	for _, p := range m.parts {
@@ -527,13 +488,12 @@ func ValidateDeviceID(id string) error {
 }
 
 // Register creates (or replaces) the device's session. The manager is
-// constructed — Algorithm 1 plus the memoized Algorithm 2 table — in
-// the caller's goroutine so partition loops stay fast; only the
-// install runs inside the partition. An explicit checkpoint that the
-// manager rejects fails with *BadCheckpointError before any session
-// state changes. With no explicit checkpoint, a parked (evicted)
-// checkpoint for the device is restored and consumed — the eviction
-// handback path.
+// constructed — Algorithm 1 plus the memoized Algorithm 2 table —
+// before the partition lock is taken; only the install runs under it.
+// An explicit checkpoint that the manager rejects fails with
+// *BadCheckpointError before any session state changes. With no
+// explicit checkpoint, a parked (evicted) checkpoint for the device is
+// restored and consumed — the eviction handback path.
 func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResult, error) {
 	if m.closed.Load() {
 		return RegisterResult{}, ErrClosed
@@ -560,64 +520,55 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 	// fleet scale.
 	mgr.ReleaseInitial()
 
-	var (
-		res  RegisterResult
-		rerr error
-	)
+	m.startSweeper()
 	p := m.partitionFor(spec.DeviceID)
-	err = p.do(ctx, func(p *partition) {
-		_, replaced := p.sessions[spec.DeviceID]
-		if !replaced {
-			if n, max := m.live.Add(1), int64(m.cfg.MaxSessions); max > 0 && n > max {
-				m.live.Add(-1)
-				m.ctr.rejected.Add(1)
-				rerr = ErrFull
-				return
+	if !p.lock() {
+		return RegisterResult{}, ErrClosed
+	}
+	defer p.mu.Unlock()
+	_, replaced := p.sessions[spec.DeviceID]
+	if !replaced {
+		if n, max := m.live.Add(1), int64(m.cfg.MaxSessions); max > 0 && n > max {
+			m.live.Add(-1)
+			m.ctr.rejected.Add(1)
+			return RegisterResult{}, ErrFull
+		}
+	}
+	resumed := spec.State != nil
+	if spec.State == nil {
+		if ps, ok := p.unpark(spec.DeviceID); ok {
+			// The parked checkpoint came from a manager with the same
+			// session key; a restore failure means the device
+			// re-registered with a different scenario — start fresh.
+			if err := mgr.Restore(ps.state); err == nil {
+				resumed = true
 			}
 		}
-		resumed := spec.State != nil
-		if spec.State == nil {
-			if ps, ok := p.unpark(spec.DeviceID); ok {
-				// The parked checkpoint came from a manager with the same
-				// session key; a restore failure means the device
-				// re-registered with a different scenario — start fresh.
-				if err := mgr.Restore(ps.state); err == nil {
-					resumed = true
-				}
-			}
-		} else {
-			// An explicit checkpoint supersedes any parked one.
-			p.unpark(spec.DeviceID)
-		}
-		p.sessions[spec.DeviceID] = &session{
-			deviceID:   spec.DeviceID,
-			mgr:        mgr,
-			lastActive: m.now(),
-		}
-		p.nSessions.Store(int64(len(p.sessions)))
-		m.ctr.registered.Add(1)
-		if resumed {
-			m.ctr.resumed.Add(1)
-		}
-		if replaced {
-			m.ctr.replaced.Add(1)
-		}
-		res = RegisterResult{
-			Slot:     mgr.Slot(),
-			ChargeJ:  mgr.Charge(),
-			Plan:     mgr.PlanSnapshot(),
-			Resumed:  resumed,
-			Replaced: replaced,
-		}
-	})
-	if err != nil {
-		return RegisterResult{}, err
+	} else {
+		// An explicit checkpoint supersedes any parked one.
+		p.unpark(spec.DeviceID)
 	}
-	if rerr != nil {
-		return RegisterResult{}, rerr
+	p.sessions[spec.DeviceID] = &session{
+		deviceID:   spec.DeviceID,
+		mgr:        mgr,
+		lastActive: m.now(),
 	}
-	span.SetAttr("resumed", res.Resumed)
-	return res, nil
+	p.nSessions.Store(int64(len(p.sessions)))
+	m.ctr.registered.Add(1)
+	if resumed {
+		m.ctr.resumed.Add(1)
+	}
+	if replaced {
+		m.ctr.replaced.Add(1)
+	}
+	span.SetAttr("resumed", resumed)
+	return RegisterResult{
+		Slot:     mgr.Slot(),
+		ChargeJ:  mgr.Charge(),
+		Plan:     mgr.PlanSnapshot(),
+		Resumed:  resumed,
+		Replaced: replaced,
+	}, nil
 }
 
 // TickSpec streams one device's completed-slot telemetry.
@@ -654,10 +605,10 @@ type TickResult struct {
 	State *dpm.State
 }
 
-// Tick applies the reports inside the session's partition and returns
-// the updated plan. Unknown devices fail with ErrUnknownDevice;
-// idle-evicted ones with ErrEvicted (their checkpoint is parked and a
-// re-register resumes it).
+// Tick applies the reports under the session's partition lock and
+// returns the updated plan. Unknown devices fail with
+// ErrUnknownDevice; idle-evicted ones with ErrEvicted (their
+// checkpoint is parked and a re-register resumes it).
 func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 	if m.closed.Load() {
 		return TickResult{}, ErrClosed
@@ -671,67 +622,57 @@ func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 	ctx, span := obs.StartSpan(ctx, "fleet.tick")
 	defer span.End()
 	span.SetAttr("slots", len(spec.Reports))
-	var (
-		res  TickResult
-		rerr error
-	)
 	p := m.partitionFor(spec.DeviceID)
-	err := p.do(ctx, func(p *partition) {
-		s, ok := p.sessions[spec.DeviceID]
-		if !ok {
-			if _, parked := p.parked[spec.DeviceID]; parked {
-				rerr = ErrEvicted
-			} else {
-				rerr = ErrUnknownDevice
-			}
-			return
+	if !p.lock() {
+		return TickResult{}, ErrClosed
+	}
+	defer p.mu.Unlock()
+	s, ok := p.sessions[spec.DeviceID]
+	if !ok {
+		if _, parked := p.parked[spec.DeviceID]; parked {
+			return TickResult{}, ErrEvicted
 		}
-		s.lastActive = m.now()
-		if spec.Seq != 0 && spec.Seq == s.lastSeq {
-			res = s.lastResult
-			res.Replayed = true
-			if !spec.IncludeState {
-				res.State = nil
-			}
-			m.ctr.replays.Add(1)
-			return
-		}
-		_, rspan := obs.StartSpan(ctx, "fleet.replan")
-		replans := 0
-		for _, rep := range spec.Reports {
-			if s.mgr.EndSlotReplan(rep.UsedJ, rep.SuppliedJ) {
-				replans++
-			}
-		}
-		rspan.SetAttr("replans", replans)
-		rspan.End()
-		res = TickResult{
-			Slot:    s.mgr.Slot(),
-			ChargeJ: s.mgr.Charge(),
-			Plan:    s.mgr.PlanSnapshot(),
-			Replans: replans,
-		}
-		if spec.IncludeState || spec.Seq != 0 {
-			st := s.mgr.Checkpoint()
-			res.State = &st
-		}
-		if spec.Seq != 0 {
-			s.lastSeq = spec.Seq
-			s.lastResult = res
-		}
+		return TickResult{}, ErrUnknownDevice
+	}
+	s.lastActive = m.now()
+	if spec.Seq != 0 && spec.Seq == s.lastSeq {
+		res := s.lastResult
+		res.Replayed = true
 		if !spec.IncludeState {
 			res.State = nil
 		}
-		m.ctr.ticks.Add(1)
-		m.ctr.slotReports.Add(uint64(len(spec.Reports)))
-		m.ctr.replans.Add(uint64(replans))
-	})
-	if err != nil {
-		return TickResult{}, err
+		m.ctr.replays.Add(1)
+		return res, nil
 	}
-	if rerr != nil {
-		return TickResult{}, rerr
+	_, rspan := obs.StartSpan(ctx, "fleet.replan")
+	replans := 0
+	for _, rep := range spec.Reports {
+		if s.mgr.EndSlotReplan(rep.UsedJ, rep.SuppliedJ) {
+			replans++
+		}
 	}
+	rspan.SetAttr("replans", replans)
+	rspan.End()
+	res := TickResult{
+		Slot:    s.mgr.Slot(),
+		ChargeJ: s.mgr.Charge(),
+		Plan:    s.mgr.PlanSnapshot(),
+		Replans: replans,
+	}
+	if spec.IncludeState || spec.Seq != 0 {
+		st := s.mgr.Checkpoint()
+		res.State = &st
+	}
+	if spec.Seq != 0 {
+		s.lastSeq = spec.Seq
+		s.lastResult = res
+	}
+	if !spec.IncludeState {
+		res.State = nil
+	}
+	m.ctr.ticks.Add(1)
+	m.ctr.slotReports.Add(uint64(len(spec.Reports)))
+	m.ctr.replans.Add(uint64(replans))
 	return res, nil
 }
 
@@ -751,28 +692,24 @@ type Drained struct {
 
 // Drain removes every session — live and parked — and returns each
 // final checkpoint exactly once, sorted by device id. Each
-// partition's removal is atomic under its single-writer loop:
-// a concurrent tick is either applied before the drain (and included
-// in the checkpoint) or answered ErrUnknownDevice after it. The
-// manager stays usable; devices may re-register.
+// partition's removal is atomic under its lock: a concurrent tick is
+// either applied before the drain (and included in the checkpoint) or
+// answered ErrUnknownDevice after it. The manager stays usable;
+// devices may re-register. A Drain racing Close returns what it
+// removed before Close reached each partition; Close returns the
+// rest.
 func (m *Manager) Drain(ctx context.Context) ([]Drained, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
 	_, span := obs.StartSpan(ctx, "fleet.drain")
 	defer span.End()
-	out := make([][]Drained, len(m.parts))
-	for i, p := range m.parts {
-		i, p := i, p
-		if err := p.do(ctx, func(p *partition) {
-			out[i] = p.drainLocked()
-		}); err != nil {
-			return nil, err
-		}
-	}
 	var all []Drained
-	for _, d := range out {
-		all = append(all, d...)
+	for _, p := range m.parts {
+		if p.lock() {
+			all = append(all, p.drainLocked()...)
+			p.mu.Unlock()
+		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].DeviceID < all[j].DeviceID })
 	m.ctr.drains.Add(1)
@@ -782,7 +719,7 @@ func (m *Manager) Drain(ctx context.Context) ([]Drained, error) {
 }
 
 // drainLocked removes and checkpoints every session and parked entry
-// in one partition. Runs inside the loop goroutine.
+// in one partition. Runs under the partition lock.
 func (p *partition) drainLocked() []Drained {
 	out := make([]Drained, 0, len(p.sessions)+len(p.parked))
 	for id, s := range p.sessions {
@@ -819,45 +756,43 @@ func (m *Manager) SweepNow(ctx context.Context) error {
 	}
 	now := m.now()
 	for _, p := range m.parts {
-		if err := p.do(ctx, func(p *partition) { p.sweepIdle(now) }); err != nil {
-			return err
+		if !p.lock() {
+			return ErrClosed
 		}
+		p.sweepIdle(now)
+		p.mu.Unlock()
 	}
 	return nil
 }
 
-// Close stops every partition goroutine and returns the final
-// checkpoints of whatever sessions remained — the shutdown drain. It
-// is idempotent; after Close every operation fails with ErrClosed.
-// Callers that want the checkpoints on an orderly shutdown should
-// Drain first (over HTTP: POST /v1/fleet/drain during the drain-grace
-// window), since Close's return value has nowhere to go once the
-// listener is down.
+// Close stops the idle sweeper and returns the final checkpoints of
+// whatever sessions remained — the shutdown drain. It is idempotent;
+// after Close every operation fails with ErrClosed. Callers that want
+// the checkpoints on an orderly shutdown should Drain first (over
+// HTTP: POST /v1/fleet/drain during the drain-grace window), since
+// Close's return value has nowhere to go once the listener is down.
 func (m *Manager) Close() []Drained {
 	m.mu.Lock()
-	if m.life == lifeClosed {
+	if m.closed.Load() {
 		m.mu.Unlock()
 		return nil
 	}
-	wasRunning := m.life == lifeRunning
-	m.life = lifeClosed
 	m.closed.Store(true)
+	sweeping := m.sweeping
 	m.mu.Unlock()
 
 	close(m.stop)
-	if wasRunning {
-		// Each loop finishes any in-flight command, observes stop, and
-		// closes exited; queued-but-unserved senders get ErrClosed via
-		// the same channel.
-		for _, p := range m.parts {
-			<-p.exited
-		}
+	if sweeping {
+		<-m.sweepDone
 	}
-	// No goroutine owns the partition maps anymore (loops exited, or
-	// never started and do() now refuses), so direct reads are safe.
+	// closed is set, so every operation that takes a partition lock
+	// after this drain backs out with ErrClosed; one that held the
+	// lock first has finished and its effect is in the checkpoint.
 	var out []Drained
 	for _, p := range m.parts {
+		p.mu.Lock()
 		out = append(out, p.drainLocked()...)
+		p.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
 	return out

@@ -12,11 +12,14 @@
 //
 // Every stage is itself observable: dpmd_ingest_* Prometheus families
 // (WriteProm), obs spans on the flush→forecast→replan pipeline
-// (FlushNow records the span tree), and structured log events for
+// (FlushNow records a span tree whose size does not grow with the
+// device count on a window without period wraps; per-device ticks
+// reach only the stage histograms), and structured log events for
 // every triggered replan.
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -193,7 +196,7 @@ type Daemon struct {
 	flushHist *obs.HistogramVec
 
 	traceMu   sync.Mutex
-	lastSpans []obs.SpanNode
+	lastTrace *obs.Trace
 	lastFlush time.Time
 }
 
@@ -338,11 +341,11 @@ func (d *Daemon) Inject(data []byte) {
 }
 
 // ingestDatagram parses the newline-separated lines and routes the
-// samples to their shards, batched per shard. The reader never
-// blocks: a full shard queue sheds the batch with reason
+// samples to their shards, batched per shard in arrival order. The
+// reader never blocks: a full shard queue sheds the batch with reason
 // "backpressure".
 func (d *Daemon) ingestDatagram(data []byte) {
-	var batches map[uint64][]Sample
+	var batches [][]Sample
 	start := 0
 	for i := 0; i <= len(data); i++ {
 		if i != len(data) && data[i] != '\n' {
@@ -366,7 +369,10 @@ func (d *Daemon) ingestDatagram(data []byte) {
 		d.parsed.Add(1)
 		idx := fnv64(s.Device) & d.mask
 		if batches == nil {
-			batches = make(map[uint64][]Sample, 2)
+			batches = make([][]Sample, len(d.shards))
+			// A datagram usually carries one device: size its batch for
+			// every line left so it never regrows.
+			batches[idx] = make([]Sample, 0, 1+bytes.Count(data[i:], []byte{'\n'}))
 		}
 		batches[idx] = append(batches[idx], s)
 	}
@@ -379,6 +385,9 @@ func (d *Daemon) ingestDatagram(data []byte) {
 		return
 	}
 	for idx, samples := range batches {
+		if len(samples) == 0 {
+			continue
+		}
 		select {
 		case d.shards[idx].ch <- shardCmd{samples: samples}:
 		default:
@@ -624,7 +633,10 @@ type FlushResult struct {
 // ticked into its fleet session, divergence is scored, and at period
 // boundaries the predictors re-forecast (firing a pending replan).
 // Shards flush sequentially so the recorded span tree is a single
-// deterministic flush→forecast→replan forest.
+// deterministic flush→forecast→replan forest. The Replanner's Tick
+// gets a context that records only into the stage histograms, so the
+// tree holds one flush span plus the forecast and replan spans of the
+// devices whose period wrapped.
 func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -635,10 +647,12 @@ func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	rec := &obs.Recorder{Stages: d.cfg.Stages, Trace: obs.NewTrace()}
 	ctx = obs.WithRecorder(ctx, rec)
 	ctx, span := obs.StartSpan(ctx, "ingest.flush")
+	// Per-device ticks record stage durations only, not tree nodes.
+	tickCtx := obs.WithRecorder(ctx, &obs.Recorder{Stages: d.cfg.Stages})
 	var res FlushResult
 	for _, sh := range d.shards {
 		sh.do(func(sh *shard) {
-			slots, replans := sh.flush(ctx)
+			slots, replans := sh.flush(ctx, tickCtx)
 			res.Devices += len(sh.devices)
 			res.SlotsClosed += slots
 			res.Replans += replans
@@ -650,15 +664,16 @@ func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	d.flushes.Add(1)
 	d.flushHist.Observe("ok", time.Since(start).Seconds())
 	d.traceMu.Lock()
-	d.lastSpans = rec.Trace.Tree()
+	d.lastTrace = rec.Trace
 	d.lastFlush = start
 	d.traceMu.Unlock()
 	return res, nil
 }
 
 // flush closes one slot for every device in the shard, in device-id
-// order for deterministic span trees.
-func (sh *shard) flush(ctx context.Context) (slots, replans int) {
+// order for deterministic span trees. ctx carries the flush span
+// tree; tickCtx records only stage durations.
+func (sh *shard) flush(ctx, tickCtx context.Context) (slots, replans int) {
 	if len(sh.devices) == 0 {
 		return 0, 0
 	}
@@ -669,7 +684,7 @@ func (sh *shard) flush(ctx context.Context) (slots, replans int) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		slots++
-		if sh.flushDevice(ctx, sh.devices[id]) {
+		if sh.flushDevice(ctx, tickCtx, sh.devices[id]) {
 			replans++
 		}
 	}
@@ -688,7 +703,7 @@ func clampPower(w float64) float64 {
 
 // flushDevice closes the device's window into one observed slot and
 // runs the divergence state machine. Reports whether a replan fired.
-func (sh *shard) flushDevice(ctx context.Context, dev *device) bool {
+func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	cfg := &sh.d.cfg
 	usageW := clampPower(dev.events * cfg.EventEnergyJ / dev.step)
 	chargeW := dev.gaugeLevel // carry-forward when the window was silent
@@ -704,7 +719,7 @@ func (sh *shard) flushDevice(ctx context.Context, dev *device) bool {
 	sh.d.slotsTotal.Add(1)
 
 	if cfg.Replanner != nil {
-		err := cfg.Replanner.Tick(ctx, dev.id, SlotObservation{
+		err := cfg.Replanner.Tick(tickCtx, dev.id, SlotObservation{
 			Slot:      dev.slot,
 			UsedJ:     usageW * dev.step,
 			SuppliedJ: chargeW * dev.step,
@@ -906,11 +921,16 @@ func (d *Daemon) DeviceStatuses() []DeviceStatus {
 	return out
 }
 
-// LastFlush returns the most recent flush's wall time and span tree.
+// LastFlush returns the most recent flush's wall time and span tree,
+// built on demand from the recorded trace.
 func (d *Daemon) LastFlush() (time.Time, []obs.SpanNode) {
 	d.traceMu.Lock()
-	defer d.traceMu.Unlock()
-	return d.lastFlush, d.lastSpans
+	at, tr := d.lastFlush, d.lastTrace
+	d.traceMu.Unlock()
+	if tr == nil {
+		return at, nil
+	}
+	return at, tr.Tree()
 }
 
 // WriteProm renders the dpmd_ingest_* families:

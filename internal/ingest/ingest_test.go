@@ -255,6 +255,70 @@ func TestGaugeSemantics(t *testing.T) {
 	}
 }
 
+// deviceReplanner records each device's last tick.
+type deviceReplanner struct {
+	mu    sync.Mutex
+	ticks map[string]SlotObservation
+}
+
+func (r *deviceReplanner) Tick(_ context.Context, id string, o SlotObservation) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ticks[id] = o
+	return nil
+}
+
+func (r *deviceReplanner) Replan(context.Context, string, *schedule.Grid, *schedule.Grid) error {
+	return nil
+}
+
+func TestMixedDatagramKeepsPerDeviceOrder(t *testing.T) {
+	// One datagram interleaving devices on different shards: each
+	// device's samples must still apply in arrival order, so an
+	// absolute gauge then a signed one averages 3 and 2 (2.5 W), where
+	// the reverse order would average 0 and 3.
+	rp := &deviceReplanner{ticks: map[string]SlotObservation{}}
+	d, err := New(Config{Replanner: rp, EventEnergyJ: 4.8, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	plan := schedule.NewGrid(4.8, flat(2, 1))
+	ids := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
+	shards := map[uint64]bool{}
+	var b strings.Builder
+	for _, id := range ids {
+		if err := d.Track(id, plan, plan); err != nil {
+			t.Fatal(err)
+		}
+		shards[fnv64(id)&d.mask] = true
+		fmt.Fprintf(&b, "%s.charge:3|g\n", id)
+	}
+	if len(shards) < 2 {
+		t.Fatalf("devices %v share one shard; the datagram is not mixed", ids)
+	}
+	for _, id := range ids {
+		fmt.Fprintf(&b, "%s.charge:-1|g\n%s.events:2|c\n", id, id)
+	}
+	d.Inject([]byte(b.String()))
+	waitStats(t, d, func(st Stats) bool { return st.SamplesApplied == uint64(3*len(ids)) })
+	if _, err := d.FlushNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	for _, id := range ids {
+		o, ok := rp.ticks[id]
+		if !ok {
+			t.Errorf("%s: no tick", id)
+			continue
+		}
+		if o.SuppliedJ != 2.5*4.8 || o.UsedJ != 2*4.8 {
+			t.Errorf("%s: supplied %g J used %g J, want %g and %g", id, o.SuppliedJ, o.UsedJ, 2.5*4.8, 2*4.8)
+		}
+	}
+}
+
 func TestTrackValidationAndCap(t *testing.T) {
 	d, err := New(Config{MaxDevices: 2})
 	if err != nil {

@@ -254,8 +254,8 @@ func (s *Server) tickBody(r *http.Request, req *FleetTickRequest) ([]byte, error
 	})
 }
 
-// handleFleetTick applies one device's slot reports inside its
-// session partition and returns the delta replan.
+// handleFleetTick applies one device's slot reports under its
+// session partition's lock and returns the delta replan.
 func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 	var req FleetTickRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -368,7 +368,7 @@ func (s *Server) FleetStats() fleet.Stats { return s.fleet.Stats() }
 //   - dpmd_fleet_ticks_total / slot_reports / replans / replays
 //   - dpmd_fleet_evictions_total / parked_drops / drains / drained_sessions
 //   - dpmd_fleet_partition_sessions{partition}          gauge
-//   - dpmd_fleet_partition_depth{partition}             gauge (queued commands)
+//   - dpmd_fleet_partition_depth{partition}             gauge (lock waiters)
 func (s *Server) writeFleetProm(w io.Writer) error {
 	st := s.fleet.Stats()
 	for _, g := range []struct {
@@ -412,7 +412,7 @@ func (s *Server) writeFleetProm(w io.Writer) error {
 	}{
 		{"dpmd_fleet_partition_sessions", "Live sessions by partition.",
 			func(ps fleet.PartitionStats) int { return ps.Sessions }},
-		{"dpmd_fleet_partition_depth", "Commands queued for the partition event loop.",
+		{"dpmd_fleet_partition_depth", "Callers waiting for the partition lock.",
 			func(ps fleet.PartitionStats) int { return ps.Depth }},
 	} {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name); err != nil {

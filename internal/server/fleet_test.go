@@ -396,8 +396,8 @@ func TestFleetDrainDuringGrace(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	// After shutdown the fleet manager is closed; its partitions are
-	// gone (the endurance test pins the goroutine accounting).
+	// After shutdown the fleet manager is closed (the endurance test
+	// pins the goroutine accounting).
 	if _, err := s.Fleet().Drain(context.Background()); err == nil {
 		t.Fatal("fleet still open after shutdown")
 	}

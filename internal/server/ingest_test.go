@@ -126,7 +126,7 @@ func TestIngestEndToEndConvergence(t *testing.T) {
 	if stats.Stats.TickErrors != 0 {
 		t.Errorf("tick errors = %d", stats.Stats.TickErrors)
 	}
-	assertSpanPath(t, stats.LastFlushSpans, "ingest.flush", "ingest.forecast", "ingest.replan")
+	assertSpanPath(t, stats.LastFlushSpans, "ingest.flush", "ingest.forecast", "ingest.replan", "fleet.register")
 
 	// Period 2: the device keeps its oracle behavior; the replanned
 	// expectation now matches, so the loop settles with no extra
@@ -178,6 +178,101 @@ func TestIngestEndToEndConvergence(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// The flush span tree is bounded: per-device fleet ticks reach the
+// stage histogram (dpmd_pipeline_stage_duration_seconds{stage=
+// "fleet.tick"} grows by one per device per flush) but add no node to
+// the flush tree, so on a window with no period wrap the tree a
+// 64-device fleet records is exactly the one a 4-device fleet records.
+func TestIngestFlushTraceBounded(t *testing.T) {
+	nodes := map[int]int{}
+	for _, n := range []int{4, 64} {
+		nodes[n] = flushTraceNodes(t, n)
+	}
+	if nodes[4] != nodes[64] {
+		t.Errorf("flush span tree grew with the fleet: %d nodes at N=4, %d at N=64", nodes[4], nodes[64])
+	}
+}
+
+// flushTraceNodes registers n ingest devices on a fresh server, runs
+// one flush (slot 0 of 12, so no period wraps), checks the fleet.tick
+// stage count grew by n, and returns the flush tree's node count.
+func flushTraceNodes(t *testing.T, n int) int {
+	t.Helper()
+	srv, err := server.New(server.Config{
+		Addr:        "127.0.0.1:0",
+		IngestAddr:  "127.0.0.1:0",
+		IngestFlush: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := client.New("http://"+srv.Addr(), nil)
+	for i := 0; i < n; i++ {
+		if _, err := c.FleetRegister(ctx, server.FleetRegisterRequest{
+			DeviceID: fmt.Sprintf("bounded-%02d", i),
+			Scenario: trace.ScenarioI(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ticks := func() int {
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const series = `dpmd_pipeline_stage_duration_seconds_count{stage="fleet.tick"} `
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, series); ok {
+				var k int
+				if _, err := fmt.Sscanf(v, "%d", &k); err != nil {
+					t.Fatalf("parse %q: %v", line, err)
+				}
+				return k
+			}
+		}
+		return 0
+	}
+	before := ticks()
+	res, err := c.IngestFlush(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Devices != n || res.Replans != 0 {
+		t.Fatalf("N=%d: flush = %+v", n, *res)
+	}
+	if got := ticks() - before; got != n {
+		t.Errorf("N=%d: fleet.tick stage count grew by %d over one flush, want %d", n, got, n)
+	}
+	stats, err := c.IngestStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Stats.TickErrors != 0 {
+		t.Errorf("N=%d: tick errors = %d", n, stats.Stats.TickErrors)
+	}
+	assertSpanPath(t, stats.LastFlushSpans, "ingest.flush")
+	return countSpans(stats.LastFlushSpans)
+}
+
+// countSpans counts the nodes of a span forest.
+func countSpans(spans []obs.SpanNode) int {
+	n := len(spans)
+	for _, s := range spans {
+		n += countSpans(s.Spans)
+	}
+	return n
 }
 
 // assertSpanPath walks the span forest asserting the named chain

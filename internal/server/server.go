@@ -1311,9 +1311,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return err
 		}
 	}
-	// In-flight ticks have drained with the listener; stopping the
-	// partition goroutines last means no request ever observes a
-	// closed fleet during a graceful shutdown. Checkpoints still live
+	// In-flight ticks have drained with the listener; closing the
+	// fleet last means no request ever observes a closed fleet during
+	// a graceful shutdown. Checkpoints still live
 	// here had no /v1/fleet/drain call during the grace window; they
 	// are dropped with the process, exactly like the stateless flow
 	// dropping an unsent checkpoint.
