@@ -4,7 +4,9 @@
 // keys each scenario by a canonical hash of everything Algorithm 1/2
 // consumes — battery band, parameter table, schedules, τ — and serves
 // repeated requests from the cache instead of re-running the
-// allocation pipeline.
+// allocation pipeline. Key hashes a part's canonical binary form when
+// the part has one (KeyAppender: the plan request's binary codec
+// body) and its JSON encoding otherwise.
 //
 // The cache is generic over the stored value. A clone function,
 // supplied at construction, is applied on every Put and Get so a
@@ -17,6 +19,7 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -244,18 +247,67 @@ func (c *Cache[V]) Stats() Stats {
 	}
 }
 
-// Key derives the canonical cache key for a scenario: the hex SHA-256
-// of the JSON encoding of parts, in order. encoding/json emits struct
-// fields in declaration order and map keys sorted, so two requests
-// that decode to the same planning inputs — whatever their original
-// field order or whitespace — hash identically.
+// KeyAppender is a key part with a canonical binary form. AppendKey
+// appends bytes that two parts share only when they hold the same
+// planning inputs, and that delimit themselves: a reader of the bytes
+// could tell where they end.
+type KeyAppender interface {
+	AppendKey(dst []byte) []byte
+}
+
+// Part tags open each part's bytes in the hashed stream, so parts of
+// different kinds never run into one another.
+const (
+	tagString byte = 1 + iota
+	tagBinary
+	tagJSON
+)
+
+// keyBufPool holds the scratch each Key call hashes.
+var keyBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// maxPooledKeyBuf bounds the scratch a pool entry keeps, so one huge
+// scenario does not pin its buffer for the life of the process.
+const maxPooledKeyBuf = 64 << 10
+
+// Key derives the canonical cache key for parts, in order: the hex
+// SHA-256 of their canonical bytes. A string part contributes its
+// length and bytes. A KeyAppender contributes its binary form. Any
+// other part contributes its JSON encoding: encoding/json emits struct
+// fields in declaration order and map keys sorted, so two values that
+// hold the same inputs hash identically. Each part is tagged with its
+// kind. The digest keeps all 256 bits: two scenarios sharing a key
+// would be served each other's plans.
 func Key(parts ...any) (string, error) {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
+	bp := keyBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
 	for _, p := range parts {
-		if err := enc.Encode(p); err != nil {
-			return "", fmt.Errorf("plancache: hashing key part: %w", err)
+		switch p := p.(type) {
+		case string:
+			buf = append(buf, tagString)
+			buf = binary.AppendUvarint(buf, uint64(len(p)))
+			buf = append(buf, p...)
+		case KeyAppender:
+			buf = append(buf, tagBinary)
+			buf = p.AppendKey(buf)
+		default:
+			b, err := json.Marshal(p)
+			if err != nil {
+				keyBufPool.Put(bp)
+				return "", fmt.Errorf("plancache: hashing key part: %w", err)
+			}
+			buf = append(append(buf, tagJSON), b...)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= maxPooledKeyBuf {
+		*bp = buf
+		keyBufPool.Put(bp)
+	}
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), nil
 }

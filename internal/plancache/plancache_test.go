@@ -203,6 +203,47 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
+// binaryPart is a key part with a canonical binary form.
+type binaryPart []byte
+
+func (p binaryPart) AppendKey(dst []byte) []byte { return append(dst, p...) }
+
+// TestKeyParts checks the framing of the hashed stream: string parts
+// are length-prefixed, a KeyAppender is hashed by its binary form,
+// and parts of different kinds never share bytes.
+func TestKeyParts(t *testing.T) {
+	key := func(parts ...any) string {
+		t.Helper()
+		k, err := Key(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(k) != 64 {
+			t.Fatalf("key %q is not a hex SHA-256", k)
+		}
+		return k
+	}
+	if key("ab", "c") == key("a", "bc") {
+		t.Error("string parts run together")
+	}
+	if key("plan", binaryPart{1, 2}) != key("plan", binaryPart{1, 2}) {
+		t.Error("equal binary parts hashed differently")
+	}
+	if key("plan", binaryPart{1, 2}) == key("plan", binaryPart{1, 3}) {
+		t.Error("different binary parts collided")
+	}
+	if key("plan", binaryPart{1, 2}) == key("planb", binaryPart{1, 2}) {
+		t.Error("prefix ignored")
+	}
+	if key(binaryPart("x")) == key("x") {
+		t.Error("a binary part and a string part with the same bytes collided")
+	}
+	// A []byte without AppendKey is hashed by its JSON encoding.
+	if key(binaryPart("x")) == key([]byte("x")) {
+		t.Error("a binary part and a JSON part collided")
+	}
+}
+
 // TestGetOrComputeSingleflight hammers one key from many goroutines
 // and checks the value is computed exactly once, everyone gets the
 // right answer, and only the computing caller reports a miss.

@@ -78,7 +78,7 @@ type PlanRequest struct {
 	// or "bunde" (pipeline.Strategies lists the registry). The
 	// ?strategy= query parameter is shorthand for this field. The
 	// default is canonicalized to "" so default requests keep their
-	// pre-registry cache keys and wire bytes.
+	// pre-registry wire bytes.
 	Planner string `json:"planner,omitempty"`
 	// MaxIterations bounds the Algorithm 1 driver (0 = default 16).
 	MaxIterations int `json:"maxIterations,omitempty"`
@@ -431,10 +431,10 @@ func parseBattery(s string) (dpm.BatteryModel, error) {
 // default spelled out (strategy, maxIterations) so semantically
 // identical requests canonicalize to one cache key. The planner
 // selector goes the other way: the default backend normalizes to the
-// *empty* string, so default requests hash and render exactly as they
-// did before the strategy registry existed — a fleet of
-// mixed-version nodes keeps sharing cache entries — while every
-// non-default backend is spelled out in the key and the body.
+// *empty* string, so default requests render exactly as they did
+// before the strategy registry existed and "paper" shares the
+// default's cache entry, while every non-default backend is spelled
+// out in the key and the body.
 func validatePlanRequest(req *PlanRequest) error {
 	strategy, err := parseStrategy(req.Strategy)
 	if err != nil {

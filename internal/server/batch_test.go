@@ -46,8 +46,8 @@ func TestPlanGoldenParity(t *testing.T) {
 // deliberately, never by accident.
 func TestPlanCacheKeyStability(t *testing.T) {
 	want := map[string]string{
-		"I":  "0d3971f462e1f475c9933fd4cf023090b1287f744d592ba063285f6d07db3359",
-		"II": "0b29915f315dce79443ae0b7d469ab919c3c05ea98ea1d171cfb4113742d86e2",
+		"I":  "3e4e0d8d67bd3196736a64095aba73fdab1480ee368a0417175f83db0196431c",
+		"II": "b2683417c06317ddf408a10302744942b1030534c763fbc2ce9856da2b1822e3",
 	}
 	for _, s := range trace.Scenarios() {
 		req := PlanRequest{Scenario: s}

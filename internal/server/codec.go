@@ -304,6 +304,16 @@ func appendPlanRequestBody(dst []byte, req *PlanRequest) []byte {
 	return appendFloat64(dst, req.Margin)
 }
 
+// AppendKey appends the request's canonical binary form — the codec
+// body, with every float as its exact bits and every string and column
+// length-prefixed — so plancache.Key hashes it without a JSON encode.
+// The scenario name is presentation, not a planning input: the key
+// form writes it empty.
+func (req PlanRequest) AppendKey(dst []byte) []byte {
+	req.Scenario.Name = ""
+	return appendPlanRequestBody(dst, &req)
+}
+
 // AppendPlanRequestBinary appends the binary encoding of a plan
 // request to dst and returns the extended slice.
 func AppendPlanRequestBinary(dst []byte, req *PlanRequest) []byte {

@@ -583,9 +583,9 @@ func (s *Server) planBody(ctx context.Context, req *PlanRequest) ([]byte, string
 		return nil, "", err
 	}
 	s.tel.planStrategy.Add(strategyLabel(req.Planner), 1)
-	keyReq := *req
-	keyReq.Scenario.Name = ""
-	key, err := plancache.Key("plan", keyReq)
+	keyScenario := req.Scenario
+	keyScenario.Name = ""
+	key, err := plancache.Key("plan", req)
 	if err != nil {
 		return nil, "", err
 	}
@@ -595,7 +595,7 @@ func (s *Server) planBody(ctx context.Context, req *PlanRequest) ([]byte, string
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := planResponse(ctx, req, keyReq.Scenario)
+		resp, err := planResponse(ctx, req, keyScenario)
 		if err != nil {
 			return nil, err
 		}
@@ -625,9 +625,9 @@ func (s *Server) planBodyBinary(ctx context.Context, req *PlanRequest) ([]byte, 
 		return nil, "", err
 	}
 	s.tel.planStrategy.Add(strategyLabel(req.Planner), 1)
-	keyReq := *req
-	keyReq.Scenario.Name = ""
-	key, err := plancache.Key("planb", keyReq)
+	keyScenario := req.Scenario
+	keyScenario.Name = ""
+	key, err := plancache.Key("planb", req)
 	if err != nil {
 		return nil, "", err
 	}
@@ -637,7 +637,7 @@ func (s *Server) planBodyBinary(ctx context.Context, req *PlanRequest) ([]byte, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := planResponse(ctx, req, keyReq.Scenario)
+		resp, err := planResponse(ctx, req, keyScenario)
 		if err != nil {
 			return nil, err
 		}
