@@ -6,11 +6,11 @@
 // /v1/fleet/bulk-tick, /v1/fleet/drain) that keeps a live Algorithm 3
 // manager per device so ticks need no checkpoint round-trip, with
 // /healthz (liveness), /readyz (readiness — 503 the moment a drain
-// begins) and a /metrics page carrying both the legacy flat counters
-// and Prometheus-format histograms. Repeated plan requests for the
-// same scenario are served from an LRU cache, and a deadline-aware
-// admission controller sheds saturated requests that cannot finish
-// inside their deadline, with Retry-After on every overload 503.
+// begins) and a /metrics page in the Prometheus text format.
+// Repeated plan requests for the same scenario are served from an LRU
+// cache, and a deadline-aware admission controller sheds saturated
+// requests that cannot finish inside their deadline, with Retry-After
+// on every overload 503.
 //
 //	dpmd -addr :8080                       # defaults
 //	dpmd -addr 127.0.0.1:0 -pool 16        # bigger worker pool

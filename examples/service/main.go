@@ -177,14 +177,14 @@ func main() {
 		sim.WastedJ, sim.UndersuppliedJ, 100*sim.Utilization)
 
 	// 7. The metrics endpoint shows the cache doing its job — the
-	// legacy flat counters plus the Prometheus histogram families a
-	// scraper would ingest.
+	// per-shard cache counters and entry gauges — next to the
+	// Prometheus families a scraper would ingest.
 	text, err := c.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-		if strings.HasPrefix(line, "dpmd_plancache_") ||
+		if strings.HasPrefix(line, "dpmd_cache_") ||
 			strings.HasPrefix(line, "# TYPE dpmd_") ||
 			strings.HasPrefix(line, "dpmd_uptime_seconds") {
 			fmt.Println(line)

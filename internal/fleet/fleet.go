@@ -8,10 +8,10 @@
 // ticks, getting delta replans back with no checkpoint on the wire.
 //
 // Session state is sharded across lock-owned partitions routed by
-// FNV-1a hash on the device id (mirroring plancache.Sharded's
-// routing). Each partition has one mutex and a single writer at a
-// time: every operation on a session runs inline in the caller's
-// goroutine under its partition's lock, so sessions need no
+// the FNV-1a hash of the device id (internal/route, the routing
+// plancache.Sharded uses). Each partition has one mutex and a single
+// writer at a time: every operation on a session runs inline in the
+// caller's goroutine under its partition's lock, so sessions need no
 // per-session locks and a tick costs one uncontended lock plus a few
 // hundred nanoseconds of Algorithm 3. Idle sessions are evicted on a
 // TTL by one manager-owned sweeper goroutine, with their checkpoint
@@ -30,7 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,7 +40,9 @@ import (
 	"dpm/internal/obs"
 	"dpm/internal/params"
 	"dpm/internal/pipeline"
+	"dpm/internal/route"
 	"dpm/internal/scenario"
+	"dpm/internal/schedule"
 	"dpm/internal/trace"
 )
 
@@ -78,7 +80,7 @@ const MaxPartitions = 256
 // keeps the fan-in manageable on large hosts. Session routing stays
 // stable only within one process lifetime, so the count is free to
 // vary with GOMAXPROCS.
-func DefaultPartitions() int { return defaultPow2Capped(16) }
+func DefaultPartitions() int { return route.DefaultCount(16) }
 
 // Config tunes one fleet manager.
 type Config struct {
@@ -101,19 +103,6 @@ type Config struct {
 	SweepInterval time.Duration
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
-}
-
-// defaultPow2Capped returns GOMAXPROCS rounded up to a power of two,
-// capped.
-func defaultPow2Capped(max int) int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	if n > max {
-		n = max
-	}
-	return n
 }
 
 // counters is the manager's monotonic activity record (atomics; read
@@ -183,10 +172,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Partitions == 0 {
 		cfg.Partitions = DefaultPartitions()
 	}
-	n := 1
-	for n < cfg.Partitions {
-		n <<= 1
-	}
+	n := route.Pow2(cfg.Partitions)
 	cfg.Partitions = n
 	if cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("fleet: negative session cap %d", cfg.MaxSessions)
@@ -267,16 +253,7 @@ func (m *Manager) PartitionStats() []PartitionStats {
 // partitionFor routes a device id to its partition by FNV-1a hash —
 // the same routing plancache.Sharded uses for cache keys.
 func (m *Manager) partitionFor(deviceID string) *partition {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(deviceID); i++ {
-		h ^= uint64(deviceID[i])
-		h *= prime64
-	}
-	return m.parts[h&m.mask]
+	return m.parts[route.Hash(deviceID)&m.mask]
 }
 
 // startSweeper launches the idle sweeper on the first Register when
@@ -316,9 +293,11 @@ func (m *Manager) sweepLoop() {
 // session is one device's live manager. All fields are guarded by the
 // partition lock.
 type session struct {
-	deviceID   string
 	mgr        *dpm.Manager
 	lastActive time.Time
+	// spec is the registration the session was built from, State
+	// cleared; Replan rebuilds the session from it.
+	spec RegisterSpec
 
 	// lastSeq and lastResult memoize the most recent deduplicated
 	// tick, so a retry of a tick whose response was lost on the wire
@@ -333,6 +312,7 @@ type parkedState struct {
 	slot     int
 	charge   float64
 	parkedAt time.Time
+	spec     RegisterSpec
 }
 
 // partition is one lock-owned shard of the session table.
@@ -402,6 +382,7 @@ func (p *partition) park(id string, s *session, now time.Time) {
 		slot:     s.mgr.Slot(),
 		charge:   s.mgr.Charge(),
 		parkedAt: now,
+		spec:     s.spec,
 	}
 	delete(p.sessions, id)
 	p.m.live.Add(-1)
@@ -548,10 +529,11 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 		// An explicit checkpoint supersedes any parked one.
 		p.unpark(spec.DeviceID)
 	}
+	spec.State = nil
 	p.sessions[spec.DeviceID] = &session{
-		deviceID:   spec.DeviceID,
 		mgr:        mgr,
 		lastActive: m.now(),
+		spec:       spec,
 	}
 	p.nSessions.Store(int64(len(p.sessions)))
 	m.ctr.registered.Add(1)
@@ -569,6 +551,37 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 		Resumed:  resumed,
 		Replaced: replaced,
 	}, nil
+}
+
+// Replan rebuilds the device's session around new usage and charging
+// forecasts — the ingestion loop's divergence replan. Everything else
+// comes from the device's last registration: hardware, policy,
+// planner, battery band and weight. The session's charge, live or
+// parked, carries over as the initial charge, clamped to the band.
+// The rebuilt spec goes through Register without a checkpoint, so a
+// live session is displaced by a fresh plan and an idle-evicted one
+// is resumed from its parked checkpoint. A device with neither fails
+// with ErrUnknownDevice.
+func (m *Manager) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) (RegisterResult, error) {
+	p := m.partitionFor(deviceID)
+	if !p.lock() {
+		return RegisterResult{}, ErrClosed
+	}
+	var spec RegisterSpec
+	var charge float64
+	if s, ok := p.sessions[deviceID]; ok {
+		spec, charge = s.spec, s.mgr.Charge()
+	} else if ps, ok := p.parked[deviceID]; ok {
+		spec, charge = ps.spec, ps.charge
+	} else {
+		p.mu.Unlock()
+		return RegisterResult{}, ErrUnknownDevice
+	}
+	p.mu.Unlock()
+	sc := &spec.Scenario
+	sc.Usage, sc.Charging = usage, charging
+	sc.InitialCharge = math.Min(math.Max(charge, sc.CapacityMin), sc.CapacityMax)
+	return m.Register(ctx, spec)
 }
 
 // TickSpec streams one device's completed-slot telemetry.

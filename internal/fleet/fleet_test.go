@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -677,5 +678,108 @@ func TestParkedCapacity(t *testing.T) {
 	}
 	if st.Evictions != 4 {
 		t.Fatalf("evictions=%d, want 4", st.Evictions)
+	}
+}
+
+// TestReplan: a replan keeps everything the registration said except
+// the forecast grids, and starts from the session's charge; a parked
+// session is resumed from its checkpoint instead; a device with no
+// session fails with ErrUnknownDevice.
+func TestReplan(t *testing.T) {
+	ctx := context.Background()
+	clock := time.Unix(1700000000, 0)
+	var mu sync.Mutex
+	m := newTestManager(t, Config{Partitions: 2, IdleTTL: time.Minute, Now: func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return clock
+	}})
+	spec := registerSpec(t, "dev-replan")
+	pcfg, err := (&scenario.Hardware{MaxProcessors: 5, FrequenciesHz: []float64{20e6, 80e6}}).WithDefaults().ParamsConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Params = pcfg
+	spec.Policy = dpm.Even
+	spec.Scenario.Weight = spec.Scenario.Usage.Scale(1)
+	spec.Scenario.CapacityMin = 0.2 * trace.Tau
+	spec.Scenario.CapacityMax = 3 * trace.Tau
+	spec.Scenario.InitialCharge = 1.5 * trace.Tau
+	if _, err := m.Register(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	reports := []pipeline.SlotReport{{UsedJ: 9.5, SuppliedJ: 11}, {UsedJ: 3, SuppliedJ: 0}}
+	ticked, err := m.Tick(ctx, TickSpec{DeviceID: spec.DeviceID, Reports: reports})
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage, charging := spec.Scenario.Usage.Scale(1.2), spec.Scenario.Charging.Scale(0.9)
+	got, err := m.Replan(ctx, spec.DeviceID, usage, charging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := spec
+	want.DeviceID = "dev-reference"
+	want.Scenario.Usage, want.Scenario.Charging = usage, charging
+	want.Scenario.InitialCharge = ticked.ChargeJ
+	ref, err := m.Register(ctx, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Replaced || got.Resumed || got.Slot != 0 || got.ChargeJ != ticked.ChargeJ {
+		t.Fatalf("replan = %+v, want a fresh session replacing the live one at charge %g", got, ticked.ChargeJ)
+	}
+	got.Replaced = false
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("replan = %+v, want %+v", got, ref)
+	}
+	p := m.partitionFor(spec.DeviceID)
+	p.mu.Lock()
+	kept := p.sessions[spec.DeviceID].spec
+	p.mu.Unlock()
+	want.DeviceID = spec.DeviceID
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatalf("replanned session keeps %+v, want %+v", kept, want)
+	}
+	want.DeviceID = "dev-reference"
+	for i, rep := range reports {
+		a, err := m.Tick(ctx, TickSpec{DeviceID: spec.DeviceID, Reports: []pipeline.SlotReport{rep}, IncludeState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := m.Tick(ctx, TickSpec{DeviceID: want.DeviceID, Reports: []pipeline.SlotReport{rep}, IncludeState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("tick %d after replan = %+v, want %+v", i, a, b)
+		}
+	}
+
+	// Idle-evicted: the replan resumes the parked checkpoint.
+	parked, err := m.Tick(ctx, TickSpec{DeviceID: spec.DeviceID, Reports: reports[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	clock = clock.Add(time.Hour)
+	mu.Unlock()
+	if err := m.SweepNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err = m.Replan(ctx, spec.DeviceID, usage, charging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Resumed || got.Slot != parked.Slot || got.ChargeJ != parked.ChargeJ {
+		t.Fatalf("replan of a parked session = %+v, want resumed at slot %d charge %g", got, parked.Slot, parked.ChargeJ)
+	}
+
+	if _, err := m.Replan(ctx, "ghost", usage, charging); !errors.Is(err, ErrUnknownDevice) {
+		t.Fatalf("replan of an unknown device: %v, want ErrUnknownDevice", err)
+	}
+	m.Close()
+	if _, err := m.Replan(ctx, spec.DeviceID, usage, charging); !errors.Is(err, ErrClosed) {
+		t.Fatalf("replan after close: %v, want ErrClosed", err)
 	}
 }

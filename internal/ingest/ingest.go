@@ -1,14 +1,14 @@
 // Package ingest closes the paper's §4.3 loop with measured traffic:
 // a StatsD-style UDP daemon accepts high-rate per-device counters
 // (task arrivals) and gauges (charging power), aggregates them into
-// per-flush-window buckets inside goroutine-owned shards (FNV-routed,
-// mirroring internal/fleet partitioning), and at each flush closes
+// per-flush-window buckets inside goroutine-owned shards (routed by
+// internal/route, as fleet partitions are), and at each flush closes
 // one slot of an observed schedule.Grid per device. Completed periods
 // feed internal/predict estimators into updated usage/charging
 // forecasts, and a divergence monitor with hysteresis compares
 // observed against planned per-slot — on a sustained breach the next
 // period wrap triggers a forecast-driven replan through the Replanner
-// (the server bridges it onto fleet.Register/Tick).
+// (the server bridges it onto fleet.Manager's Tick and Replan).
 //
 // Every stage is itself observable: dpmd_ingest_* Prometheus families
 // (WriteProm), obs spans on the flush→forecast→replan pipeline
@@ -33,6 +33,7 @@ import (
 
 	"dpm/internal/obs"
 	"dpm/internal/predict"
+	"dpm/internal/route"
 	"dpm/internal/scenario"
 	"dpm/internal/schedule"
 )
@@ -229,10 +230,7 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("ingest: negative flush interval %s", cfg.FlushInterval)
 	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
+	n := route.Pow2(cfg.Shards)
 	d := &Daemon{
 		cfg:   cfg,
 		mask:  uint64(n - 1),
@@ -367,7 +365,7 @@ func (d *Daemon) ingestDatagram(data []byte) {
 			continue
 		}
 		d.parsed.Add(1)
-		idx := fnv64(s.Device) & d.mask
+		idx := route.Hash(s.Device) & d.mask
 		if batches == nil {
 			batches = make([][]Sample, len(d.shards))
 			// A datagram usually carries one device: size its batch for
@@ -419,20 +417,6 @@ func (d *Daemon) flushLoop() {
 			cancel()
 		}
 	}
-}
-
-// fnv64 is the FNV-1a hash fleet and plancache route with.
-func fnv64(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }
 
 // shard owns a disjoint set of devices; all device state is touched
@@ -564,7 +548,7 @@ func (d *Daemon) Track(deviceID string, usage, charging *schedule.Grid) error {
 		return ErrClosed
 	}
 	var err error
-	sh := d.shards[fnv64(deviceID)&d.mask]
+	sh := d.shards[route.Hash(deviceID)&d.mask]
 	sh.do(func(sh *shard) {
 		err = sh.track(deviceID, usage, charging)
 	})
@@ -609,7 +593,7 @@ func (d *Daemon) Untrack(deviceID string) {
 	if d.closed {
 		return
 	}
-	sh := d.shards[fnv64(deviceID)&d.mask]
+	sh := d.shards[route.Hash(deviceID)&d.mask]
 	sh.do(func(sh *shard) {
 		if _, ok := sh.devices[deviceID]; ok {
 			delete(sh.devices, deviceID)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dpm/internal/route"
 	"dpm/internal/schedule"
 )
 
@@ -291,7 +292,7 @@ func TestMixedDatagramKeepsPerDeviceOrder(t *testing.T) {
 		if err := d.Track(id, plan, plan); err != nil {
 			t.Fatal(err)
 		}
-		shards[fnv64(id)&d.mask] = true
+		shards[route.Hash(id)&d.mask] = true
 		fmt.Fprintf(&b, "%s.charge:3|g\n", id)
 	}
 	if len(shards) < 2 {

@@ -3,7 +3,8 @@ package plancache
 import (
 	"context"
 	"fmt"
-	"runtime"
+
+	"dpm/internal/route"
 )
 
 // Sharded is a plan cache split across N independent power-of-two
@@ -31,22 +32,7 @@ const MaxShards = 256
 // shard per runnable goroutine removes contention; beyond 16 the
 // added LRU fragmentation outweighs the (already negligible) residual
 // contention.
-func DefaultShards() int {
-	n := ceilPow2(runtime.GOMAXPROCS(0))
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
-
-// ceilPow2 rounds n up to the next power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+func DefaultShards() int { return route.DefaultCount(16) }
 
 // NewSharded returns a sharded cache holding at least capacity
 // entries in total. shards is rounded up to a power of two; 0 means
@@ -64,7 +50,7 @@ func NewSharded[V any](capacity, shards int, clone func(V) V) (*Sharded[V], erro
 	if shards == 0 {
 		shards = DefaultShards()
 	}
-	shards = ceilPow2(shards)
+	shards = route.Pow2(shards)
 	perShard := (capacity + shards - 1) / shards
 	s := &Sharded[V]{
 		shards: make([]*Cache[V], shards),
@@ -84,16 +70,7 @@ func NewSharded[V any](capacity, shards int, clone func(V) V) (*Sharded[V], erro
 // already uniform hex SHA-256 digests in practice, but hashing keeps
 // routing balanced for arbitrary key strings too.
 func (s *Sharded[V]) shardFor(key string) *Cache[V] {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return s.shards[h&s.mask]
+	return s.shards[route.Hash(key)&s.mask]
 }
 
 // ShardCount returns the number of shards.

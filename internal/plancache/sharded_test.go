@@ -13,14 +13,6 @@ import (
 
 func cloneBytes(b []byte) []byte { return append([]byte(nil), b...) }
 
-func TestCeilPow2(t *testing.T) {
-	for n, want := range map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 16: 16, 17: 32} {
-		if got := ceilPow2(n); got != want {
-			t.Errorf("ceilPow2(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded[int](0, 4, nil); err == nil {
 		t.Error("capacity 0 accepted")

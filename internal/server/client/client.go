@@ -254,7 +254,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 	})
 }
 
-// Metrics fetches the plain-text counters.
+// Metrics fetches the Prometheus text exposition from /metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {

@@ -207,7 +207,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		s.fleetFail(w, r, err)
 		return
 	}
-	s.ingestTrack(&req, pcfg, pol, res)
+	s.ingestTrack(&req)
 	body, err := marshalBody(&FleetRegisterResponse{
 		DeviceID: req.DeviceID,
 		Slot:     res.Slot,

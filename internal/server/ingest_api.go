@@ -3,17 +3,13 @@ package server
 import (
 	"context"
 	"net/http"
-	"sync"
 	"time"
 
-	"dpm/internal/dpm"
 	"dpm/internal/fleet"
 	"dpm/internal/ingest"
 	"dpm/internal/obs"
-	"dpm/internal/params"
 	"dpm/internal/pipeline"
 	"dpm/internal/schedule"
-	"dpm/internal/trace"
 )
 
 // Ingestion endpoints -----------------------------------------------
@@ -31,146 +27,54 @@ import (
 //
 // Both answer 404 when ingestion is disabled.
 
-// ingestRegistration is what the bridge needs to rebuild a device's
-// session around new forecasts: the planning environment from its
-// /v1/fleet/register, plus the session's last known charge.
-type ingestRegistration struct {
-	scenario trace.Scenario
-	params   params.Config
-	policy   dpm.RedistributePolicy
-	planner  string
-	chargeJ  float64
-}
-
-// ingestState is the server's half of the telemetry loop.
-type ingestState struct {
-	daemon *ingest.Daemon
-
-	mu  sync.Mutex
-	reg map[string]ingestRegistration
-}
-
-func (st *ingestState) lookup(deviceID string) (ingestRegistration, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	r, ok := st.reg[deviceID]
-	return r, ok
-}
-
-func (st *ingestState) store(deviceID string, r ingestRegistration) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.reg[deviceID] = r
-}
-
-func (st *ingestState) setCharge(deviceID string, chargeJ float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if r, ok := st.reg[deviceID]; ok {
-		r.chargeJ = chargeJ
-		st.reg[deviceID] = r
-	}
-}
-
-func (st *ingestState) remove(deviceID string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	delete(st.reg, deviceID)
-}
-
 // fleetBridge implements ingest.Replanner on the fleet manager.
-type fleetBridge struct{ s *Server }
+type fleetBridge struct{ fleet *fleet.Manager }
 
 // Tick streams one closed flush window into the device's session as a
 // completed-slot report — the same Algorithm 3 path /v1/fleet/tick
 // drives, minus the HTTP envelope.
-func (b *fleetBridge) Tick(ctx context.Context, deviceID string, o ingest.SlotObservation) error {
-	res, err := b.s.fleet.Tick(ctx, fleet.TickSpec{
+func (b fleetBridge) Tick(ctx context.Context, deviceID string, o ingest.SlotObservation) error {
+	_, err := b.fleet.Tick(ctx, fleet.TickSpec{
 		DeviceID: deviceID,
 		Reports:  []pipeline.SlotReport{{UsedJ: o.UsedJ, SuppliedJ: o.SuppliedJ}},
 	})
-	if err != nil {
-		return err
-	}
-	b.s.ingest.setCharge(deviceID, res.ChargeJ)
-	return nil
+	return err
 }
 
-// Replan rebuilds the device's session from the live forecasts: a
-// fresh register (no checkpoint, so a live session is displaced with
-// a new plan) keeping the device's hardware, policy, planner, battery
-// band and weight, with the forecast grids as the planning inputs and
-// the session's last charge carried over.
-func (b *fleetBridge) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) error {
-	reg, ok := b.s.ingest.lookup(deviceID)
-	if !ok {
-		return fleet.ErrUnknownDevice
-	}
-	sc := reg.scenario
-	sc.Usage = usage
-	sc.Charging = charging
-	sc.InitialCharge = reg.chargeJ
-	if sc.InitialCharge < sc.CapacityMin {
-		sc.InitialCharge = sc.CapacityMin
-	}
-	if sc.InitialCharge > sc.CapacityMax {
-		sc.InitialCharge = sc.CapacityMax
-	}
-	res, err := b.s.fleet.Register(ctx, fleet.RegisterSpec{
-		DeviceID: deviceID,
-		Scenario: sc,
-		Params:   reg.params,
-		Policy:   reg.policy,
-		Planner:  reg.planner,
-	})
-	if err != nil {
-		return err
-	}
-	reg.scenario = sc
-	reg.chargeJ = res.ChargeJ
-	b.s.ingest.store(deviceID, reg)
-	return nil
+// Replan rebuilds the device's session from the live forecasts; see
+// fleet.Manager.Replan.
+func (b fleetBridge) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) error {
+	_, err := b.fleet.Replan(ctx, deviceID, usage, charging)
+	return err
 }
 
 // newIngest assembles the daemon (not yet listening) for a server
 // whose Config enables ingestion.
-func newIngest(s *Server) (*ingestState, error) {
-	d, err := ingest.New(ingest.Config{
+func newIngest(s *Server) (*ingest.Daemon, error) {
+	return ingest.New(ingest.Config{
 		Addr:                s.cfg.IngestAddr,
 		FlushInterval:       s.cfg.IngestFlush,
 		Predictor:           s.cfg.IngestPredictor,
 		DivergenceThreshold: s.cfg.DivergenceThreshold,
 		EventEnergyJ:        s.cfg.IngestEventEnergyJ,
-		Replanner:           &fleetBridge{s: s},
+		Replanner:           fleetBridge{fleet: s.fleet},
 		Stages:              s.tel.stages,
 		Log:                 s.cfg.AccessLog,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &ingestState{daemon: d, reg: make(map[string]ingestRegistration)}, nil
 }
 
 // ingestTrack hooks a successful /v1/fleet/register into the
-// ingestion loop: remember the planning environment for replans and
-// start aggregating the device's telemetry against its planned grids.
-// Never called holding ingestState.mu — Track round-trips through the
-// device's shard goroutine, which may itself be inside the bridge.
-func (s *Server) ingestTrack(req *FleetRegisterRequest, pcfg params.Config, pol dpm.RedistributePolicy, res fleet.RegisterResult) {
+// ingestion loop: start aggregating the device's telemetry against
+// its planned grids. The fleet session keeps the registration that
+// replans rebuild it from.
+func (s *Server) ingestTrack(req *FleetRegisterRequest) {
 	if s.ingest == nil {
 		return
 	}
-	s.ingest.store(req.DeviceID, ingestRegistration{
-		scenario: req.Scenario,
-		params:   pcfg,
-		policy:   pol,
-		planner:  req.Planner,
-		chargeJ:  res.ChargeJ,
-	})
 	// The scenario passed validation, so the grids are well-formed;
 	// a Track refusal (device cap) still leaves the fleet session
 	// usable and is surfaced on the daemon's cardinality counter.
-	s.ingest.daemon.Track(req.DeviceID, req.Scenario.Usage, req.Scenario.Charging) //nolint:errcheck
+	s.ingest.Track(req.DeviceID, req.Scenario.Usage, req.Scenario.Charging) //nolint:errcheck
 }
 
 // ingestUntrack drops drained devices from the ingestion loop.
@@ -179,8 +83,7 @@ func (s *Server) ingestUntrack(deviceIDs []string) {
 		return
 	}
 	for _, id := range deviceIDs {
-		s.ingest.remove(id)
-		s.ingest.daemon.Untrack(id)
+		s.ingest.Untrack(id)
 	}
 }
 
@@ -214,7 +117,7 @@ func (s *Server) handleIngestStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "ingestion is disabled; start dpmd with -ingest-addr")
 		return
 	}
-	d := s.ingest.daemon
+	d := s.ingest
 	_, spans := d.LastFlush()
 	resp := &IngestStatsResponse{
 		Enabled:             true,
@@ -243,7 +146,7 @@ func (s *Server) handleIngestFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 30*time.Second)
 	defer cancel()
-	res, err := s.ingest.daemon.FlushNow(ctx)
+	res, err := s.ingest.FlushNow(ctx)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -258,9 +161,4 @@ func (s *Server) handleIngestFlush(w http.ResponseWriter, r *http.Request) {
 
 // Ingest exposes the ingestion daemon (tests, embedders); nil when
 // ingestion is disabled.
-func (s *Server) Ingest() *ingest.Daemon {
-	if s.ingest == nil {
-		return nil
-	}
-	return s.ingest.daemon
-}
+func (s *Server) Ingest() *ingest.Daemon { return s.ingest }

@@ -19,8 +19,8 @@ import (
 
 // Observability assembly -------------------------------------------
 //
-// The server owns one obs.Registry whose families render after the
-// legacy flat counters on GET /metrics:
+// The server owns one obs.Registry, and GET /metrics renders exactly
+// its families:
 //
 //   - dpmd_http_request_duration_seconds{endpoint}   histogram
 //   - dpmd_http_request_errors_total{endpoint}       counter
@@ -28,7 +28,8 @@ import (
 //     the pipeline spans (pipeline.validate, pipeline.plan,
 //     alloc.Compute, alloc.iteration, params.table, …)
 //   - dpmd_cache_shard_*_total{cache,shard}          per-shard plan- and
-//     table-cache counters
+//     table-cache counters, and dpmd_cache_{entries,capacity}{cache}
+//   - dpmd_admission_*, dpmd_fleet_* and dpmd_ingest_* families
 //   - dpmd_start_time_seconds / dpmd_uptime_seconds and the go_*
 //     runtime gauges (obs.RuntimeCollector)
 //
@@ -71,7 +72,7 @@ func newTelemetry(s *Server) *telemetry {
 	t.reqHist = obs.NewHistogramVec("dpmd_http_request_duration_seconds",
 		"Request latency by endpoint, including pool wait.", "endpoint", nil)
 	t.errTotal = obs.NewCounterVec("dpmd_http_request_errors_total",
-		"Requests answered with a non-2xx status, by endpoint.", "endpoint")
+		"Requests answered with a 4xx or 5xx status, by endpoint.", "endpoint")
 	t.stages = obs.NewHistogramVec("dpmd_pipeline_stage_duration_seconds",
 		"Planning-pipeline stage latency by span name.", "stage", nil)
 	t.planStrategy = obs.NewCounterVec("dpmd_plan_requests_total",
@@ -90,11 +91,9 @@ func newTelemetry(s *Server) *telemetry {
 		if s.ingest == nil {
 			return nil
 		}
-		return s.ingest.daemon.WriteProm(w)
+		return s.ingest.WriteProm(w)
 	}))
-	t.registry.Register(obs.CollectorFunc(func(w io.Writer) error {
-		return obs.RuntimeCollector{Start: s.stats.StartTime()}.WriteProm(w)
-	}))
+	t.registry.Register(obs.RuntimeCollector{Start: s.start})
 	return t
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -143,16 +144,23 @@ func TestTracedPlanLeavesCacheUnchanged(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheusExposition checks /metrics carries both the
-// legacy flat counters and the typed Prometheus families after real
-// traffic.
+// TestMetricsPrometheusExposition checks /metrics carries the typed
+// Prometheus families after real traffic — plan requests, a fleet
+// session and a flush of the ingestion loop — and nothing else: the
+// body must be well-formed exposition.
 func TestMetricsPrometheusExposition(t *testing.T) {
-	_, base := startServer(t, Config{PoolSize: 2})
+	_, base := startServer(t, Config{PoolSize: 2, IngestAddr: "127.0.0.1:0"})
 	req := planBody(t)
 	for i := 0; i < 2; i++ {
 		if status, _, body := postJSON(t, base, "/v1/plan", req); status != http.StatusOK {
 			t.Fatalf("plan status %d: %s", status, body)
 		}
+	}
+	if status, _, body := postJSON(t, base, "/v1/fleet/register", fleetRegisterBody(t, "expo-1")); status != http.StatusOK {
+		t.Fatalf("register status %d: %s", status, body)
+	}
+	if status, _, body := postJSON(t, base, "/v1/ingest/flush", nil); status != http.StatusOK {
+		t.Fatalf("flush status %d: %s", status, body)
 	}
 	status, body := getBody(t, base, "/metrics")
 	if status != http.StatusOK {
@@ -160,9 +168,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"dpmd_plancache_hits 1",
-		"dpmd_plancache_misses 1",
-		`dpmd_requests_total{endpoint="/v1/plan"} 2`,
 		"# TYPE dpmd_http_request_duration_seconds histogram",
 		`dpmd_http_request_duration_seconds_bucket{endpoint="/v1/plan",le="+Inf"} 2`,
 		`dpmd_http_request_duration_seconds_count{endpoint="/v1/plan"} 2`,
@@ -172,6 +177,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"# TYPE dpmd_cache_shard_hits_total counter",
 		`dpmd_cache_shard_misses_total{cache="plan",shard=`,
 		`dpmd_cache_entries{cache="plan"} 1`,
+		"dpmd_fleet_sessions_live 1",
+		"dpmd_ingest_slots_closed_total 1",
 		"# TYPE dpmd_start_time_seconds gauge",
 		"# TYPE dpmd_uptime_seconds gauge",
 		"# TYPE go_goroutines gauge",
@@ -181,10 +188,76 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// The legacy block renders before the typed families so existing
-	// scrapers see their lines first.
-	if legacy, typed := strings.Index(text, "dpmd_plancache_hits"), strings.Index(text, "# HELP"); legacy < 0 || typed < 0 || legacy > typed {
-		t.Errorf("legacy block does not precede typed families (legacy at %d, typed at %d)", legacy, typed)
+	for family, want := range map[string]float64{
+		`dpmd_cache_shard_hits_total{cache="plan",`:   1,
+		`dpmd_cache_shard_misses_total{cache="plan",`: 1,
+		`dpmd_cache_shard_puts_total{cache="plan",`:   1,
+	} {
+		if got := sumSamples(text, family); got != want {
+			t.Errorf("sum of %s} = %g, want %g", family, got, want)
+		}
+	}
+	assertExposition(t, text)
+}
+
+// sumSamples adds up the values of every sample line that starts with
+// prefix — a family name plus the labels to match, e.g. the per-shard
+// counters of one cache.
+func sumSamples(text, prefix string) float64 {
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err == nil {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// assertExposition checks text is well-formed Prometheus text
+// exposition: every sample belongs to a family (its name, with a
+// histogram's _bucket/_sum/_count suffix stripped) that an earlier
+// "# TYPE" line declared, no family is declared twice, and every
+// sample value parses.
+func assertExposition(t *testing.T, text string) {
+	t.Helper()
+	typed := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "# HELP ") {
+			continue
+		}
+		if decl, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			f := strings.Fields(decl)
+			if len(f) != 2 {
+				t.Errorf("malformed TYPE line %q", line)
+				continue
+			}
+			if typed[f[0]] {
+				t.Errorf("family %s declared twice", f[0])
+			}
+			typed[f[0]] = true
+			continue
+		}
+		end := strings.IndexAny(line, "{ ")
+		if end <= 0 {
+			t.Errorf("malformed sample line %q", line)
+			continue
+		}
+		family := line[:end]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(family, suffix); ok && typed[base] {
+				family = base
+			}
+		}
+		if !typed[family] {
+			t.Errorf("sample %q has no # TYPE line for its family", line)
+		}
+		if _, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64); err != nil {
+			t.Errorf("sample %q: value does not parse: %v", line, err)
+		}
 	}
 }
 

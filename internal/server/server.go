@@ -5,7 +5,7 @@
 // (/v1/plan), the Algorithm 2 (n, f) schedule for a plan
 // (/v1/params), the Algorithm 3 runtime update given planned-vs-
 // actual energies (/v1/replan) and a bounded closed-loop simulation
-// (/v1/simulate) — plus /healthz and a plain-text /metrics.
+// (/v1/simulate) — plus /healthz and a Prometheus-format /metrics.
 //
 // Because many nodes share hardware configurations and charging
 // forecasts, plan and params responses are cached in a
@@ -33,6 +33,7 @@ import (
 
 	"dpm/internal/dpm"
 	"dpm/internal/fleet"
+	"dpm/internal/ingest"
 	"dpm/internal/metrics"
 	"dpm/internal/obs"
 	"dpm/internal/params"
@@ -154,12 +155,13 @@ func (c *Config) setDefaults() {
 type Server struct {
 	cfg   Config
 	cache *plancache.Sharded[[]byte]
-	stats *metrics.ServiceStats
+	// start is when New built the server (dpmd_start_time_seconds).
+	start time.Time
 	tel   *telemetry
 	adm   *resilience.Controller
 	fleet *fleet.Manager
 	// ingest is the telemetry ingestion loop; nil when disabled.
-	ingest *ingestState
+	ingest *ingest.Daemon
 	mux    *http.ServeMux
 
 	// draining flips the moment Shutdown begins; /readyz answers 503
@@ -208,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: cache,
-		stats: metrics.NewServiceStats(),
+		start: time.Now(),
 		adm:   resilience.NewController(cfg.PoolSize, cfg.DisableShedding),
 		fleet: fm,
 		mux:   http.NewServeMux(),
@@ -371,7 +373,6 @@ func (s *Server) endpoint(method string, pooled bool, h http.HandlerFunc) http.H
 			h(sw, r)
 		}()
 		dur := time.Since(start)
-		s.stats.Observe(r.URL.Path, sw.status, dur.Seconds())
 		s.tel.reqHist.Observe(r.URL.Path, dur.Seconds())
 		if sw.status >= 400 {
 			s.tel.errTotal.Add(r.URL.Path, 1)
@@ -1142,25 +1143,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, `{"status":"ready"}`)
 }
 
-// handleMetrics renders the legacy flat counters first (the original
-// scrape surface, kept for compatibility), then the typed Prometheus
-// families from the registry: request and pipeline-stage histograms,
-// error counters, per-shard cache counters and runtime gauges. The
-// legacy lines are unlabeled or labeled samples without TYPE
-// annotations, which the exposition format permits, so the whole body
-// remains a valid scrape target.
+// handleMetrics renders the typed Prometheus families from the
+// registry: request and pipeline-stage histograms, error counters,
+// per-shard cache counters, admission, fleet and ingestion families,
+// and runtime gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	cs := s.cache.Stats()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	metrics.WriteServiceText(w, metrics.CacheStats{ //nolint:errcheck
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		Puts:      cs.Puts,
-		Len:       cs.Len,
-		Capacity:  cs.Capacity,
-	}, s.stats.Snapshot())
 	s.tel.registry.WriteProm(w) //nolint:errcheck
 }
 
@@ -1188,7 +1177,7 @@ func (s *Server) Start() error {
 		go s.debugSrv.Serve(dln) //nolint:errcheck
 	}
 	if s.ingest != nil {
-		if err := s.ingest.daemon.Start(); err != nil {
+		if err := s.ingest.Start(); err != nil {
 			if s.debugLn != nil {
 				s.debugLn.Close() //nolint:errcheck
 				s.debugLn, s.debugSrv = nil, nil
@@ -1276,7 +1265,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// partitions may be running. The daemon stops first — its
 		// flushes call into the fleet.
 		if s.ingest != nil {
-			s.ingest.daemon.Close()
+			s.ingest.Close()
 		}
 		s.fleet.Close()
 		return nil
@@ -1297,7 +1286,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// flush ever observes a closed fleet.
 	closeLoops := func() {
 		if s.ingest != nil {
-			s.ingest.daemon.Close()
+			s.ingest.Close()
 		}
 		s.fleet.Close()
 	}

@@ -190,13 +190,13 @@ func TestEndToEndPlanConcurrencyAndCache(t *testing.T) {
 		t.Fatalf("metrics status %d", status)
 	}
 	text := string(metricsText)
-	if !strings.Contains(text, fmt.Sprintf("dpmd_plancache_hits %d", clients)) {
-		t.Errorf("metrics missing %d cache hits:\n%s", clients, text)
+	if got := sumSamples(text, `dpmd_cache_shard_hits_total{cache="plan",`); got != clients {
+		t.Errorf("metrics show %g plan-cache hits, want %d:\n%s", got, clients, text)
 	}
-	if !strings.Contains(text, "dpmd_plancache_misses 1") {
-		t.Errorf("metrics missing the single miss:\n%s", text)
+	if got := sumSamples(text, `dpmd_cache_shard_misses_total{cache="plan",`); got != 1 {
+		t.Errorf("metrics show %g plan-cache misses, want the single miss:\n%s", got, text)
 	}
-	if !strings.Contains(text, fmt.Sprintf(`dpmd_requests_total{endpoint="/v1/plan"} %d`, clients+1)) {
+	if !strings.Contains(text, fmt.Sprintf(`dpmd_http_request_duration_seconds_count{endpoint="/v1/plan"} %d`, clients+1)) {
 		t.Errorf("metrics missing plan request count:\n%s", text)
 	}
 }
