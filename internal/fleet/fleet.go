@@ -476,6 +476,12 @@ func ValidateDeviceID(id string) error {
 // explicit checkpoint, a parked (evicted) checkpoint for the device is
 // restored and consumed — the eviction handback path.
 func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResult, error) {
+	return m.register(ctx, spec, false)
+}
+
+// register is Register; fresh discards a parked checkpoint instead of
+// restoring it, once the install is sure to succeed.
+func (m *Manager) register(ctx context.Context, spec RegisterSpec, fresh bool) (RegisterResult, error) {
 	if m.closed.Load() {
 		return RegisterResult{}, ErrClosed
 	}
@@ -516,7 +522,7 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 		}
 	}
 	resumed := spec.State != nil
-	if spec.State == nil {
+	if spec.State == nil && !fresh {
 		if ps, ok := p.unpark(spec.DeviceID); ok {
 			// The parked checkpoint came from a manager with the same
 			// session key; a restore failure means the device
@@ -526,7 +532,8 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 			}
 		}
 	} else {
-		// An explicit checkpoint supersedes any parked one.
+		// An explicit checkpoint, or a fresh replan, supersedes any
+		// parked one.
 		p.unpark(spec.DeviceID)
 	}
 	spec.State = nil
@@ -558,10 +565,12 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 // comes from the device's last registration: hardware, policy,
 // planner, battery band and weight. The session's charge, live or
 // parked, carries over as the initial charge, clamped to the band.
-// The rebuilt spec goes through Register without a checkpoint, so a
-// live session is displaced by a fresh plan and an idle-evicted one
-// is resumed from its parked checkpoint. A device with neither fails
-// with ErrUnknownDevice.
+// Either way the device gets a fresh session planned from the
+// forecasts: a live session is displaced, and an idle-evicted one's
+// parked checkpoint is consumed, not restored, so its old plan and
+// mid-period slot do not outlive the replan. If the install fails
+// (ErrFull, ErrClosed) the parked checkpoint stays. A device with
+// neither session fails with ErrUnknownDevice.
 func (m *Manager) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) (RegisterResult, error) {
 	p := m.partitionFor(deviceID)
 	if !p.lock() {
@@ -581,7 +590,7 @@ func (m *Manager) Replan(ctx context.Context, deviceID string, usage, charging *
 	sc := &spec.Scenario
 	sc.Usage, sc.Charging = usage, charging
 	sc.InitialCharge = math.Min(math.Max(charge, sc.CapacityMin), sc.CapacityMax)
-	return m.Register(ctx, spec)
+	return m.register(ctx, spec, true)
 }
 
 // TickSpec streams one device's completed-slot telemetry.

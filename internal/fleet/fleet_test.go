@@ -681,10 +681,45 @@ func TestParkedCapacity(t *testing.T) {
 	}
 }
 
+// TestReplanParkedFull: a replan of a parked session that cannot be
+// installed leaves the parked checkpoint in place.
+func TestReplanParkedFull(t *testing.T) {
+	ctx := context.Background()
+	clock := time.Unix(1700000000, 0)
+	var mu sync.Mutex
+	m := newTestManager(t, Config{Partitions: 1, MaxSessions: 1, IdleTTL: time.Minute, Now: func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return clock
+	}})
+	spec := registerSpec(t, "dev-parked")
+	if _, err := m.Register(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	clock = clock.Add(time.Hour)
+	mu.Unlock()
+	if err := m.SweepNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Register(ctx, registerSpec(t, "dev-live")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Replan(ctx, spec.DeviceID, spec.Scenario.Usage, spec.Scenario.Charging); !errors.Is(err, ErrFull) {
+		t.Fatalf("replan past MaxSessions: %v, want ErrFull", err)
+	}
+	if st := m.Stats(); st.SessionsParked != 1 {
+		t.Fatalf("parked sessions after a refused replan = %d, want 1", st.SessionsParked)
+	}
+	if _, err := m.Tick(ctx, TickSpec{DeviceID: spec.DeviceID, Reports: []pipeline.SlotReport{{UsedJ: 1, SuppliedJ: 1}}}); !errors.Is(err, ErrEvicted) {
+		t.Fatalf("tick after a refused replan: %v, want ErrEvicted", err)
+	}
+}
+
 // TestReplan: a replan keeps everything the registration said except
 // the forecast grids, and starts from the session's charge; a parked
-// session is resumed from its checkpoint instead; a device with no
-// session fails with ErrUnknownDevice.
+// session's checkpoint is consumed and only its charge carried over;
+// a device with no session fails with ErrUnknownDevice.
 func TestReplan(t *testing.T) {
 	ctx := context.Background()
 	clock := time.Unix(1700000000, 0)
@@ -756,10 +791,15 @@ func TestReplan(t *testing.T) {
 		}
 	}
 
-	// Idle-evicted: the replan resumes the parked checkpoint.
+	// Idle-evicted mid-period: the replan builds a fresh session from
+	// the forecasts at the parked charge, and the parked checkpoint,
+	// with its old plan and slot, is gone.
 	parked, err := m.Tick(ctx, TickSpec{DeviceID: spec.DeviceID, Reports: reports[:1]})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if parked.Slot == 0 {
+		t.Fatal("the session parks at slot 0; a resumed slot would not show")
 	}
 	mu.Lock()
 	clock = clock.Add(time.Hour)
@@ -771,8 +811,19 @@ func TestReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Resumed || got.Slot != parked.Slot || got.ChargeJ != parked.ChargeJ {
-		t.Fatalf("replan of a parked session = %+v, want resumed at slot %d charge %g", got, parked.Slot, parked.ChargeJ)
+	want.DeviceID = "dev-reference-parked"
+	want.Scenario.InitialCharge = parked.ChargeJ
+	if ref, err = m.Register(ctx, want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Resumed || got.Replaced || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("replan of a parked session = %+v, want a fresh %+v", got, ref)
+	}
+	p.mu.Lock()
+	_, stillParked := p.parked[spec.DeviceID]
+	p.mu.Unlock()
+	if stillParked {
+		t.Fatal("the replan left the parked checkpoint behind")
 	}
 
 	if _, err := m.Replan(ctx, "ghost", usage, charging); !errors.Is(err, ErrUnknownDevice) {

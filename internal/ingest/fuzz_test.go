@@ -103,8 +103,8 @@ func TestFuzzDropCountersIncrement(t *testing.T) {
 			t.Errorf("drops[%s] = %d, want %d", reason, st.Drops[reason], want)
 		}
 	}
-	// The well-formed untracked line parses, then drops at routing
-	// inside the shard; flush the queue with a no-op control command.
+	// The well-formed untracked line parses, then drops when it is
+	// applied.
 	waitStats(t, d, func(st Stats) bool { return st.Drops[DropUntracked] == 1 })
 	st = d.Stats()
 	if st.Parsed != 1 {

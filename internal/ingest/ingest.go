@@ -1,14 +1,26 @@
 // Package ingest closes the paper's §4.3 loop with measured traffic:
 // a StatsD-style UDP daemon accepts high-rate per-device counters
 // (task arrivals) and gauges (charging power), aggregates them into
-// per-flush-window buckets inside goroutine-owned shards (routed by
-// internal/route, as fleet partitions are), and at each flush closes
-// one slot of an observed schedule.Grid per device. Completed periods
+// per-flush-window buckets, and at each flush closes one slot of an
+// observed schedule.Grid per device. Completed periods
 // feed internal/predict estimators into updated usage/charging
 // forecasts, and a divergence monitor with hysteresis compares
 // observed against planned per-slot — on a sustained breach the next
 // period wrap triggers a forecast-driven replan through the Replanner
 // (the server bridges it onto fleet.Manager's Tick and Replan).
+//
+// All device state sits in one map behind one mutex, as each fleet
+// partition's sessions do, and every operation runs inline in its
+// caller's goroutine: the UDP reader (or Inject) parses a datagram and
+// applies its samples under the lock, a flush closes every device's
+// window under it, and Track, Untrack and DeviceStatuses take it too.
+// The only goroutines are the UDP reader and the flush ticker. A
+// reader that waits on a flush leaves datagrams in the kernel socket
+// buffer. Lock order: a flush calls the Replanner, and so takes a
+// fleet partition lock, while it holds the daemon lock; nothing may
+// take the daemon lock while holding a fleet lock. The fleet never
+// calls into ingest, and the server never holds a fleet lock when it
+// calls the daemon.
 //
 // Every stage is itself observable: dpmd_ingest_* Prometheus families
 // (WriteProm), obs spans on the flush→forecast→replan pipeline
@@ -19,7 +31,6 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,7 +44,6 @@ import (
 
 	"dpm/internal/obs"
 	"dpm/internal/predict"
-	"dpm/internal/route"
 	"dpm/internal/scenario"
 	"dpm/internal/schedule"
 )
@@ -55,7 +65,8 @@ type SlotObservation struct {
 }
 
 // Replanner receives the loop's outputs. The server implements it on
-// top of internal/fleet; tests stub it.
+// top of internal/fleet; tests stub it. Its methods run under the
+// daemon lock, so they must not call back into the Daemon.
 type Replanner interface {
 	// Tick streams one closed slot's observed energies into the
 	// device's live session.
@@ -87,25 +98,12 @@ type Config struct {
 	// Predictor selects the forecast estimator: "last-period"
 	// (default), "moving-average" or "exponential".
 	Predictor string
-	// Window is the moving-average window in periods (default 4).
-	Window int
-	// Alpha is the exponential smoothing weight (default 0.4).
-	Alpha float64
 	// DivergenceThreshold is the per-slot relative error above which
 	// a slot counts as breached (default 0.25).
 	DivergenceThreshold float64
-	// HysteresisUp is the consecutive breached slots required to arm
-	// a replan (default 3); HysteresisDown the consecutive clear
-	// slots required to re-arm after one fires (default 2). Together
-	// they keep a boundary-oscillating signal from flapping replans.
-	HysteresisUp   int
-	HysteresisDown int
 	// EventEnergyJ converts counted events to joules (default 1).
 	EventEnergyJ float64
-	// Shards is the aggregation shard count, rounded up to a power of
-	// two (default 4); MaxDevices caps tracked-device cardinality
-	// across all shards (default 1024).
-	Shards     int
+	// MaxDevices caps tracked-device cardinality (default 1024).
 	MaxDevices int
 	// Replanner receives ticks and divergence replans; nil means
 	// observe-only (forecasts still update).
@@ -121,42 +119,41 @@ func (c *Config) setDefaults() {
 	if c.Predictor == "" {
 		c.Predictor = PredictorLastPeriod
 	}
-	if c.Window == 0 {
-		c.Window = 4
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.4
-	}
 	if c.DivergenceThreshold == 0 {
 		c.DivergenceThreshold = 0.25
 	}
-	if c.HysteresisUp == 0 {
-		c.HysteresisUp = 3
-	}
-	if c.HysteresisDown == 0 {
-		c.HysteresisDown = 2
-	}
 	if c.EventEnergyJ == 0 {
 		c.EventEnergyJ = 1
-	}
-	if c.Shards == 0 {
-		c.Shards = 4
 	}
 	if c.MaxDevices == 0 {
 		c.MaxDevices = 1024
 	}
 }
 
-// NewPredictor builds one estimator from the daemon's selector — the
+// Forecast and divergence tuning, fixed for every daemon.
+const (
+	// movingAverageWindow is the moving-average window in periods.
+	movingAverageWindow = 4
+	// exponentialAlpha is the exponential smoothing weight.
+	exponentialAlpha = 0.4
+	// hysteresisUp is the consecutive breached slots required to arm
+	// a replan; hysteresisDown the consecutive clear slots required
+	// to re-arm after one fires. Together they keep a
+	// boundary-oscillating signal from flapping replans.
+	hysteresisUp   = 3
+	hysteresisDown = 2
+)
+
+// newPredictor builds one estimator from the daemon's selector — the
 // factory Track uses per device and signal.
-func NewPredictor(name string, window int, alpha float64) (predict.Predictor, error) {
+func newPredictor(name string) (predict.Predictor, error) {
 	switch name {
 	case PredictorLastPeriod:
 		return predict.NewLastPeriod(), nil
 	case PredictorMovingAverage:
-		return predict.NewMovingAverage(window)
+		return predict.NewMovingAverage(movingAverageWindow)
 	case PredictorExponential:
-		return predict.NewExponential(alpha)
+		return predict.NewExponential(exponentialAlpha)
 	}
 	return nil, fmt.Errorf("ingest: unknown predictor %q (want %s, %s or %s)",
 		name, PredictorLastPeriod, PredictorMovingAverage, PredictorExponential)
@@ -168,21 +165,23 @@ const divergenceFloorW = 0.1
 
 // Daemon is one ingestion instance.
 type Daemon struct {
-	cfg    Config
-	shards []*shard
-	mask   uint64
+	cfg  Config
+	quit chan struct{}
+	wg   sync.WaitGroup // reader + flush ticker
 
-	// mu serializes public entry points against Close: senders hold
-	// the read side while touching shard channels, Close flips closed
-	// under the write side before the channels shut.
-	mu     sync.RWMutex
-	closed bool
+	// mu guards the fields from closed to lastFlush. Each operation
+	// runs inline under it, so a Close that takes it waits out an
+	// in-flight flush.
+	mu        sync.Mutex
+	closed    bool
+	devices   map[string]*device
+	ids       []string // FlushNow's reused sort buffer
+	conn      *net.UDPConn
+	lastTrace *obs.Trace
+	lastFlush time.Time
 
-	conn    *net.UDPConn
-	quit    chan struct{}
-	wg      sync.WaitGroup // reader + flush ticker
-	shardWG sync.WaitGroup
-
+	// The counters are lock-free for Stats; deviceN mirrors
+	// len(devices).
 	datagrams  atomic.Uint64
 	lines      atomic.Uint64
 	parsed     atomic.Uint64
@@ -195,10 +194,6 @@ type Daemon struct {
 	drops      []atomic.Uint64 // indexed like DropReasons
 
 	flushHist *obs.HistogramVec
-
-	traceMu   sync.Mutex
-	lastTrace *obs.Trace
-	lastFlush time.Time
 }
 
 // dropIndex maps a drop reason to its counter slot.
@@ -210,19 +205,15 @@ var dropIndex = func() map[string]int {
 	return m
 }()
 
-// New validates the configuration and builds the daemon (shard loops
-// start immediately; the UDP listener and flush timer start on
-// Start).
+// New validates the configuration and builds the daemon (the UDP
+// listener and flush timer start on Start).
 func New(cfg Config) (*Daemon, error) {
 	cfg.setDefaults()
-	if _, err := NewPredictor(cfg.Predictor, cfg.Window, cfg.Alpha); err != nil {
+	if _, err := newPredictor(cfg.Predictor); err != nil {
 		return nil, err
 	}
 	if cfg.DivergenceThreshold < 0 || !scenario.IsFinite(cfg.DivergenceThreshold) {
 		return nil, fmt.Errorf("ingest: divergence threshold %g must be finite and non-negative", cfg.DivergenceThreshold)
-	}
-	if cfg.HysteresisUp < 1 || cfg.HysteresisDown < 1 {
-		return nil, fmt.Errorf("ingest: hysteresis %d/%d must be at least 1", cfg.HysteresisUp, cfg.HysteresisDown)
 	}
 	if cfg.EventEnergyJ <= 0 || !scenario.IsFinite(cfg.EventEnergyJ) {
 		return nil, fmt.Errorf("ingest: event energy %g J must be finite and positive", cfg.EventEnergyJ)
@@ -230,23 +221,14 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("ingest: negative flush interval %s", cfg.FlushInterval)
 	}
-	n := route.Pow2(cfg.Shards)
-	d := &Daemon{
-		cfg:   cfg,
-		mask:  uint64(n - 1),
-		quit:  make(chan struct{}),
-		drops: make([]atomic.Uint64, len(DropReasons)),
+	return &Daemon{
+		cfg:     cfg,
+		devices: make(map[string]*device),
+		quit:    make(chan struct{}),
+		drops:   make([]atomic.Uint64, len(DropReasons)),
 		flushHist: obs.NewHistogramVec("dpmd_ingest_flush_duration_seconds",
-			"Wall time of one full flush pass (all shards), by outcome.", "result", nil),
-	}
-	d.shards = make([]*shard, n)
-	for i := range d.shards {
-		sh := &shard{d: d, ch: make(chan shardCmd, 1024), devices: make(map[string]*device)}
-		d.shards[i] = sh
-		d.shardWG.Add(1)
-		go sh.loop()
-	}
-	return d, nil
+			"Wall time of one full flush pass (all devices), by outcome.", "result", nil),
+	}, nil
 }
 
 // Start binds the UDP listener (when configured) and starts the flush
@@ -279,16 +261,17 @@ func (d *Daemon) Start() error {
 
 // Addr returns the bound UDP address, or "" without a listener.
 func (d *Daemon) Addr() string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.conn == nil {
 		return ""
 	}
 	return d.conn.LocalAddr().String()
 }
 
-// Close stops the listener, the flush timer and every shard loop. It
-// is idempotent and leaves no goroutines behind.
+// Close stops the listener and the flush timer. It waits out an
+// in-flight flush, so no flush runs after it returns; it is
+// idempotent and leaves no goroutines behind.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -303,10 +286,6 @@ func (d *Daemon) Close() {
 		conn.Close() //nolint:errcheck
 	}
 	d.wg.Wait()
-	for _, sh := range d.shards {
-		close(sh.ch)
-	}
-	d.shardWG.Wait()
 }
 
 // readLoop drains datagrams until the connection closes.
@@ -338,12 +317,14 @@ func (d *Daemon) Inject(data []byte) {
 	d.ingestDatagram(data)
 }
 
-// ingestDatagram parses the newline-separated lines and routes the
-// samples to their shards, batched per shard in arrival order. The
-// reader never blocks: a full shard queue sheds the batch with reason
-// "backpressure".
+// ingestDatagram parses the newline-separated lines and applies each
+// sample to its device's window, in arrival order, under the lock.
 func (d *Daemon) ingestDatagram(data []byte) {
-	var batches [][]Sample
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
 	start := 0
 	for i := 0; i <= len(data); i++ {
 		if i != len(data) && data[i] != '\n' {
@@ -365,34 +346,7 @@ func (d *Daemon) ingestDatagram(data []byte) {
 			continue
 		}
 		d.parsed.Add(1)
-		idx := route.Hash(s.Device) & d.mask
-		if batches == nil {
-			batches = make([][]Sample, len(d.shards))
-			// A datagram usually carries one device: size its batch for
-			// every line left so it never regrows.
-			batches[idx] = make([]Sample, 0, 1+bytes.Count(data[i:], []byte{'\n'}))
-		}
-		batches[idx] = append(batches[idx], s)
-	}
-	if batches == nil {
-		return
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return
-	}
-	for idx, samples := range batches {
-		if len(samples) == 0 {
-			continue
-		}
-		select {
-		case d.shards[idx].ch <- shardCmd{samples: samples}:
-		default:
-			for range samples {
-				d.drop(DropBackpressure)
-			}
-		}
+		d.apply(s)
 	}
 }
 
@@ -419,74 +373,34 @@ func (d *Daemon) flushLoop() {
 	}
 }
 
-// shard owns a disjoint set of devices; all device state is touched
-// only by its loop goroutine (the fleet partition idiom).
-type shard struct {
-	d       *Daemon
-	ch      chan shardCmd
-	devices map[string]*device
-}
-
-// shardCmd is one queue entry: a sample batch (from the reader), a
-// control closure (track/flush/stats), or both halves unused.
-type shardCmd struct {
-	samples []Sample
-	fn      func(*shard)
-	done    chan struct{}
-}
-
-func (sh *shard) loop() {
-	defer sh.d.shardWG.Done()
-	for cmd := range sh.ch {
-		if len(cmd.samples) > 0 {
-			sh.apply(cmd.samples)
-		}
-		if cmd.fn != nil {
-			cmd.fn(sh)
-		}
-		if cmd.done != nil {
-			close(cmd.done)
-		}
+// apply accumulates one parsed sample into its device's window.
+// Callers hold d.mu.
+func (d *Daemon) apply(s Sample) {
+	dev, ok := d.devices[s.Device]
+	if !ok {
+		d.drop(DropUntracked)
+		return
 	}
-}
-
-// do runs fn inside the shard goroutine and waits for it. Callers
-// must hold d.mu.RLock (the closed guard).
-func (sh *shard) do(fn func(*shard)) {
-	done := make(chan struct{})
-	sh.ch <- shardCmd{fn: fn, done: done}
-	<-done
-}
-
-// apply accumulates a parsed batch into the owning devices' windows.
-func (sh *shard) apply(samples []Sample) {
-	for _, s := range samples {
-		dev, ok := sh.devices[s.Device]
-		if !ok {
-			sh.d.drop(DropUntracked)
-			continue
+	switch s.Kind {
+	case KindCounter:
+		dev.events += s.Value
+	case KindGauge:
+		if s.Delta {
+			dev.gaugeLevel += s.Value
+		} else {
+			dev.gaugeLevel = s.Value
 		}
-		switch s.Kind {
-		case KindCounter:
-			dev.events += s.Value
-		case KindGauge:
-			if s.Delta {
-				dev.gaugeLevel += s.Value
-			} else {
-				dev.gaugeLevel = s.Value
-			}
-			if dev.gaugeLevel < 0 {
-				dev.gaugeLevel = 0
-			}
-			dev.gaugeSum += dev.gaugeLevel
-			dev.gaugeCount++
+		if dev.gaugeLevel < 0 {
+			dev.gaugeLevel = 0
 		}
-		sh.d.applied.Add(1)
+		dev.gaugeSum += dev.gaugeLevel
+		dev.gaugeCount++
 	}
+	d.applied.Add(1)
 }
 
 // device is one tracked device's aggregation, forecast and
-// divergence state. Owned by its shard goroutine.
+// divergence state. Guarded by the daemon lock.
 type device struct {
 	id    string
 	step  float64
@@ -542,37 +456,25 @@ func (d *Daemon) Track(deviceID string, usage, charging *schedule.Grid) error {
 	if usage.Len() == 0 {
 		return fmt.Errorf("ingest: device %s: empty planned grid", deviceID)
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	var err error
-	sh := d.shards[route.Hash(deviceID)&d.mask]
-	sh.do(func(sh *shard) {
-		err = sh.track(deviceID, usage, charging)
-	})
-	return err
-}
-
-func (sh *shard) track(deviceID string, usage, charging *schedule.Grid) error {
-	dev, ok := sh.devices[deviceID]
+	dev, ok := d.devices[deviceID]
 	if ok && dev.step == usage.Step && dev.slots == usage.Len() {
 		copy(dev.plannedUsage, usage.Values)
 		copy(dev.plannedCharging, charging.Values)
 		return nil
 	}
-	if !ok && int(sh.d.deviceN.Load()) >= sh.d.cfg.MaxDevices {
-		sh.d.drop(DropCardinality)
-		return fmt.Errorf("ingest: tracked-device cap %d reached", sh.d.cfg.MaxDevices)
+	if !ok && len(d.devices) >= d.cfg.MaxDevices {
+		d.drop(DropCardinality)
+		return fmt.Errorf("ingest: tracked-device cap %d reached", d.cfg.MaxDevices)
 	}
-	up, _ := NewPredictor(sh.d.cfg.Predictor, sh.d.cfg.Window, sh.d.cfg.Alpha)
-	cp, _ := NewPredictor(sh.d.cfg.Predictor, sh.d.cfg.Window, sh.d.cfg.Alpha)
+	up, _ := newPredictor(d.cfg.Predictor)
+	cp, _ := newPredictor(d.cfg.Predictor)
 	n := usage.Len()
-	if !ok {
-		sh.d.deviceN.Add(1)
-	}
-	sh.devices[deviceID] = &device{
+	d.devices[deviceID] = &device{
 		id:              deviceID,
 		step:            usage.Step,
 		slots:           n,
@@ -583,23 +485,19 @@ func (sh *shard) track(deviceID string, usage, charging *schedule.Grid) error {
 		usagePred:       up,
 		chargingPred:    cp,
 	}
+	d.deviceN.Store(int64(len(d.devices)))
 	return nil
 }
 
 // Untrack drops a device's ingestion state (fleet drain).
 func (d *Daemon) Untrack(deviceID string) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
-	sh := d.shards[route.Hash(deviceID)&d.mask]
-	sh.do(func(sh *shard) {
-		if _, ok := sh.devices[deviceID]; ok {
-			delete(sh.devices, deviceID)
-			sh.d.deviceN.Add(-1)
-		}
-	})
+	delete(d.devices, deviceID)
+	d.deviceN.Store(int64(len(d.devices)))
 }
 
 // FlushResult summarizes one flush pass.
@@ -616,14 +514,14 @@ type FlushResult struct {
 // device's accumulated counters become one observed slot, the slot is
 // ticked into its fleet session, divergence is scored, and at period
 // boundaries the predictors re-forecast (firing a pending replan).
-// Shards flush sequentially so the recorded span tree is a single
-// deterministic flush→forecast→replan forest. The Replanner's Tick
-// gets a context that records only into the stage histograms, so the
-// tree holds one flush span plus the forecast and replan spans of the
-// devices whose period wrapped.
+// Devices flush in device-id order under the lock, so the recorded
+// span tree is a single deterministic flush→forecast→replan forest.
+// The Replanner's Tick gets a context that records only into the
+// stage histograms, so the tree holds one flush span plus the forecast
+// and replan spans of the devices whose period wrapped.
 func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
 		return FlushResult{}, ErrClosed
 	}
@@ -633,46 +531,26 @@ func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	ctx, span := obs.StartSpan(ctx, "ingest.flush")
 	// Per-device ticks record stage durations only, not tree nodes.
 	tickCtx := obs.WithRecorder(ctx, &obs.Recorder{Stages: d.cfg.Stages})
-	var res FlushResult
-	for _, sh := range d.shards {
-		sh.do(func(sh *shard) {
-			slots, replans := sh.flush(ctx, tickCtx)
-			res.Devices += len(sh.devices)
-			res.SlotsClosed += slots
-			res.Replans += replans
-		})
+	ids := d.ids[:0]
+	for id := range d.devices {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	d.ids = ids
+	res := FlushResult{Devices: len(ids), SlotsClosed: len(ids)}
+	for _, id := range ids {
+		if d.flushDevice(ctx, tickCtx, d.devices[id]) {
+			res.Replans++
+		}
 	}
 	span.SetAttr("devices", res.Devices)
 	span.SetAttr("replans", res.Replans)
 	span.End()
 	d.flushes.Add(1)
 	d.flushHist.Observe("ok", time.Since(start).Seconds())
-	d.traceMu.Lock()
 	d.lastTrace = rec.Trace
 	d.lastFlush = start
-	d.traceMu.Unlock()
 	return res, nil
-}
-
-// flush closes one slot for every device in the shard, in device-id
-// order for deterministic span trees. ctx carries the flush span
-// tree; tickCtx records only stage durations.
-func (sh *shard) flush(ctx, tickCtx context.Context) (slots, replans int) {
-	if len(sh.devices) == 0 {
-		return 0, 0
-	}
-	ids := make([]string, 0, len(sh.devices))
-	for id := range sh.devices {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		slots++
-		if sh.flushDevice(ctx, tickCtx, sh.devices[id]) {
-			replans++
-		}
-	}
-	return slots, replans
 }
 
 func clampPower(w float64) float64 {
@@ -687,8 +565,8 @@ func clampPower(w float64) float64 {
 
 // flushDevice closes the device's window into one observed slot and
 // runs the divergence state machine. Reports whether a replan fired.
-func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
-	cfg := &sh.d.cfg
+func (d *Daemon) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
+	cfg := &d.cfg
 	usageW := clampPower(dev.events * cfg.EventEnergyJ / dev.step)
 	chargeW := dev.gaugeLevel // carry-forward when the window was silent
 	if dev.gaugeCount > 0 {
@@ -700,7 +578,7 @@ func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	dev.gaugeCount = 0
 	dev.obsUsage[dev.slot] = usageW
 	dev.obsCharging[dev.slot] = chargeW
-	sh.d.slotsTotal.Add(1)
+	d.slotsTotal.Add(1)
 
 	if cfg.Replanner != nil {
 		err := cfg.Replanner.Tick(tickCtx, dev.id, SlotObservation{
@@ -709,7 +587,7 @@ func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 			SuppliedJ: chargeW * dev.step,
 		})
 		if err != nil {
-			sh.d.tickErrors.Add(1)
+			d.tickErrors.Add(1)
 			if cfg.Log != nil {
 				cfg.Log.Event("ingest_tick_error",
 					obs.F("device", dev.id),
@@ -720,10 +598,10 @@ func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	}
 
 	// Divergence with hysteresis: a slot is breached when either
-	// signal's relative error exceeds the threshold. HysteresisUp
+	// signal's relative error exceeds the threshold. hysteresisUp
 	// consecutive breaches arm a replan (entering cooldown at the same
 	// moment, so an oscillating boundary cannot re-arm); the cooldown
-	// lifts after HysteresisDown consecutive clear slots.
+	// lifts after hysteresisDown consecutive clear slots.
 	rel := func(obs, plan float64) float64 {
 		return math.Abs(obs-plan) / math.Max(math.Abs(plan), divergenceFloorW)
 	}
@@ -732,14 +610,14 @@ func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	if dev.divergence > cfg.DivergenceThreshold {
 		dev.clearStreak = 0
 		dev.breachStreak++
-		if !dev.cooldown && dev.breachStreak >= cfg.HysteresisUp {
+		if !dev.cooldown && dev.breachStreak >= hysteresisUp {
 			dev.pending = true
 			dev.cooldown = true
 		}
 	} else {
 		dev.breachStreak = 0
 		dev.clearStreak++
-		if dev.cooldown && !dev.pending && dev.clearStreak >= cfg.HysteresisDown {
+		if dev.cooldown && !dev.pending && dev.clearStreak >= hysteresisDown {
 			dev.cooldown = false
 		}
 	}
@@ -750,13 +628,13 @@ func (sh *shard) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	}
 	dev.slot = 0
 	dev.periods++
-	return sh.wrapPeriod(ctx, dev)
+	return d.wrapPeriod(ctx, dev)
 }
 
 // wrapPeriod feeds the completed observed period into the predictors
 // and, when a replan is pending and forecasts exist, fires it.
-func (sh *shard) wrapPeriod(ctx context.Context, dev *device) bool {
-	cfg := &sh.d.cfg
+func (d *Daemon) wrapPeriod(ctx context.Context, dev *device) bool {
+	cfg := &d.cfg
 	fctx, fspan := obs.StartSpan(ctx, "ingest.forecast")
 	fspan.SetAttr("device", dev.id)
 	fspan.SetAttr("period", dev.periods)
@@ -802,7 +680,7 @@ func (sh *shard) wrapPeriod(ctx context.Context, dev *device) bool {
 	if err != nil {
 		// Keep pending: the next period wrap retries with a fresher
 		// forecast.
-		sh.d.tickErrors.Add(1)
+		d.tickErrors.Add(1)
 		if cfg.Log != nil {
 			cfg.Log.Event("ingest_replan_error",
 				obs.F("device", dev.id),
@@ -815,7 +693,7 @@ func (sh *shard) wrapPeriod(ctx context.Context, dev *device) bool {
 	dev.pending = false
 	dev.breachStreak = 0
 	dev.replans++
-	sh.d.replans.Add(1)
+	d.replans.Add(1)
 	if cfg.Log != nil {
 		cfg.Log.Event("ingest_replan",
 			obs.F("device", dev.id),
@@ -840,7 +718,7 @@ type Stats struct {
 	Devices        int               `json:"devices"`
 }
 
-// Stats snapshots the counters (lock-free; shard state untouched).
+// Stats snapshots the counters (lock-free; device state untouched).
 func (d *Daemon) Stats() Stats {
 	drops := make(map[string]uint64, len(DropReasons))
 	for i, r := range DropReasons {
@@ -875,31 +753,27 @@ type DeviceStatus struct {
 
 // DeviceStatuses snapshots every tracked device, sorted by id.
 func (d *Daemon) DeviceStatuses() []DeviceStatus {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
 	var out []DeviceStatus
-	for _, sh := range d.shards {
-		sh.do(func(sh *shard) {
-			for _, dev := range sh.devices {
-				ds := DeviceStatus{
-					DeviceID:      dev.id,
-					Slot:          dev.slot,
-					Periods:       dev.periods,
-					Divergence:    dev.divergence,
-					BreachStreak:  dev.breachStreak,
-					PendingReplan: dev.pending,
-					Replans:       dev.replans,
-				}
-				if dev.forecastUsage != nil {
-					ds.ForecastUsage = append([]float64(nil), dev.forecastUsage.Values...)
-					ds.ForecastCharging = append([]float64(nil), dev.forecastCharging.Values...)
-				}
-				out = append(out, ds)
-			}
-		})
+	for _, dev := range d.devices {
+		ds := DeviceStatus{
+			DeviceID:      dev.id,
+			Slot:          dev.slot,
+			Periods:       dev.periods,
+			Divergence:    dev.divergence,
+			BreachStreak:  dev.breachStreak,
+			PendingReplan: dev.pending,
+			Replans:       dev.replans,
+		}
+		if dev.forecastUsage != nil {
+			ds.ForecastUsage = append([]float64(nil), dev.forecastUsage.Values...)
+			ds.ForecastCharging = append([]float64(nil), dev.forecastCharging.Values...)
+		}
+		out = append(out, ds)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
 	return out
@@ -908,9 +782,9 @@ func (d *Daemon) DeviceStatuses() []DeviceStatus {
 // LastFlush returns the most recent flush's wall time and span tree,
 // built on demand from the recorded trace.
 func (d *Daemon) LastFlush() (time.Time, []obs.SpanNode) {
-	d.traceMu.Lock()
+	d.mu.Lock()
 	at, tr := d.lastFlush, d.lastTrace
-	d.traceMu.Unlock()
+	d.mu.Unlock()
 	if tr == nil {
 		return at, nil
 	}

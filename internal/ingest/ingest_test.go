@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dpm/internal/route"
 	"dpm/internal/schedule"
 )
 
@@ -175,8 +174,6 @@ func TestDivergenceHysteresisNoFlap(t *testing.T) {
 		Replanner:           rp,
 		EventEnergyJ:        4.8,
 		DivergenceThreshold: 0.25,
-		HysteresisUp:        3,
-		HysteresisDown:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,29 +271,24 @@ func (r *deviceReplanner) Replan(context.Context, string, *schedule.Grid, *sched
 }
 
 func TestMixedDatagramKeepsPerDeviceOrder(t *testing.T) {
-	// One datagram interleaving devices on different shards: each
-	// device's samples must still apply in arrival order, so an
-	// absolute gauge then a signed one averages 3 and 2 (2.5 W), where
-	// the reverse order would average 0 and 3.
+	// One datagram interleaving devices: each device's samples must
+	// still apply in arrival order, so an absolute gauge then a signed
+	// one averages 3 and 2 (2.5 W), where the reverse order would
+	// average 0 and 3.
 	rp := &deviceReplanner{ticks: map[string]SlotObservation{}}
-	d, err := New(Config{Replanner: rp, EventEnergyJ: 4.8, Shards: 4})
+	d, err := New(Config{Replanner: rp, EventEnergyJ: 4.8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	plan := schedule.NewGrid(4.8, flat(2, 1))
 	ids := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
-	shards := map[uint64]bool{}
 	var b strings.Builder
 	for _, id := range ids {
 		if err := d.Track(id, plan, plan); err != nil {
 			t.Fatal(err)
 		}
-		shards[route.Hash(id)&d.mask] = true
 		fmt.Fprintf(&b, "%s.charge:3|g\n", id)
-	}
-	if len(shards) < 2 {
-		t.Fatalf("devices %v share one shard; the datagram is not mixed", ids)
 	}
 	for _, id := range ids {
 		fmt.Fprintf(&b, "%s.charge:-1|g\n%s.events:2|c\n", id, id)
@@ -429,7 +421,7 @@ func TestWritePromFamilies(t *testing.T) {
 		"dpmd_ingest_lines_total 2",
 		"dpmd_ingest_lines_parsed_total 1",
 		`dpmd_ingest_lines_dropped_total{reason="malformed"} 1`,
-		`dpmd_ingest_lines_dropped_total{reason="backpressure"} 0`,
+		`dpmd_ingest_lines_dropped_total{reason="cardinality"} 0`,
 		"dpmd_ingest_replans_total 0",
 		"dpmd_ingest_devices 1",
 		`dpmd_ingest_divergence_score{device="p"}`,
@@ -445,7 +437,6 @@ func TestNewValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"unknown predictor":  {Predictor: "oracle"},
 		"negative threshold": {DivergenceThreshold: -1},
-		"zero hysteresis":    {HysteresisUp: -1},
 		"negative energy":    {EventEnergyJ: -2},
 		"negative flush":     {FlushInterval: -time.Second},
 	} {

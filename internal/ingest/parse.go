@@ -61,12 +61,9 @@ const (
 	// DropRate is a malformed |@ sample rate.
 	DropRate = "rate"
 	// DropUntracked is a well-formed sample for a device with no
-	// registered fleet session — counted at routing, not parse time,
+	// registered fleet session — counted at apply, not parse time,
 	// and the cardinality guard against name-flooding.
 	DropUntracked = "untracked"
-	// DropBackpressure is a sample discarded because its shard's
-	// queue was full — load-shedding, never blocking the reader.
-	DropBackpressure = "backpressure"
 	// DropCardinality is a tracked-device slot refused because the
 	// daemon is at its MaxDevices cap.
 	DropCardinality = "cardinality"
@@ -77,7 +74,7 @@ const (
 // dashboards can rate() them before the first drop.
 var DropReasons = []string{
 	DropEmpty, DropOversize, DropMalformed, DropName, DropType,
-	DropValue, DropRate, DropUntracked, DropBackpressure, DropCardinality,
+	DropValue, DropRate, DropUntracked, DropCardinality,
 }
 
 // Sample is one parsed line.

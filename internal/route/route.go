@@ -1,9 +1,8 @@
 // Package route is the one routing decision dpmd's sharded tables
-// share: the plan and table caches (internal/plancache), the fleet's
-// session partitions (internal/fleet) and the ingestion shards
-// (internal/ingest). A key goes to shard Hash(key) & (n-1), where n
-// is a power of two — Pow2 of the configured count, or DefaultCount
-// when none is configured.
+// share: the plan and table caches (internal/plancache) and the
+// fleet's session partitions (internal/fleet). A key goes to shard
+// Hash(key) & (n-1), where n is a power of two — Pow2 of the
+// configured count, or DefaultCount when none is configured.
 package route
 
 import "runtime"

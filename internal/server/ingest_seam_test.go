@@ -228,9 +228,10 @@ func testReplanKeepsRegistration(t *testing.T, planner string) {
 }
 
 // A tracked device whose session was idle-evicted mid-period still
-// replans at the wrap, and the replan resumes it from the parked
-// checkpoint — the state the session held when it was evicted — as a
-// re-register without a checkpoint does.
+// replans at the wrap, and the replan does what it does for a live
+// session: a fresh session planned from the forecasts, starting from
+// the parked charge. The parked checkpoint's old plan and mid-period
+// slot are consumed, not resumed.
 func TestIngestReplanResumesEvictedSession(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -258,8 +259,8 @@ func TestIngestReplanResumesEvictedSession(t *testing.T) {
 	if st.Replans != 1 {
 		t.Fatalf("replans = %d, want 1", st.Replans)
 	}
-	if fs := srv.Fleet().Stats(); fs.Resumed != 1 {
-		t.Fatalf("fleet resumed %d sessions, want 1 (the parked one)", fs.Resumed)
+	if fs := srv.Fleet().Stats(); fs.Resumed != 0 {
+		t.Fatalf("fleet resumed %d sessions, want 0 (the replan starts fresh)", fs.Resumed)
 	}
 	// Ticks succeed up to the eviction and fail with ErrEvicted after
 	// it (the background sweeper may have evicted earlier than the
@@ -268,22 +269,36 @@ func TestIngestReplanResumesEvictedSession(t *testing.T) {
 	if ticked < 0 || ticked > slots/2 {
 		t.Fatalf("tick errors = %d, want at least %d", st.TickErrors, slots-slots/2)
 	}
-	_, _, reports := observedReports(ctx, t, c, dev)
+	usage, charging, reports := observedReports(ctx, t, c, dev)
 
+	// The parked charge: the registration ticked with the slots that
+	// reached the session before it was evicted.
 	before := reg
 	before.DeviceID = "before"
-	if _, err := ref.FleetRegister(ctx, before); err != nil {
+	res, err := ref.FleetRegister(ctx, before)
+	if err != nil {
 		t.Fatal(err)
 	}
+	charge := res.ChargeJ
 	if ticked > 0 {
-		if _, err := ref.FleetTick(ctx, server.FleetTickRequest{DeviceID: before.DeviceID, Slots: reports[:ticked]}); err != nil {
+		tick, err := ref.FleetTick(ctx, server.FleetTickRequest{DeviceID: before.DeviceID, Slots: reports[:ticked]})
+		if err != nil {
 			t.Fatal(err)
 		}
+		charge = tick.ChargeJ
 	}
-	want := drainedState(ctx, t, ref, before.DeviceID)
+	want := reg
+	want.DeviceID = "after"
+	want.Scenario.Usage = schedule.NewGrid(trace.Tau, usage)
+	want.Scenario.Charging = schedule.NewGrid(trace.Tau, charging)
+	want.Scenario.InitialCharge = math.Min(math.Max(charge, reg.Scenario.CapacityMin), reg.Scenario.CapacityMax)
+	if _, err := ref.FleetRegister(ctx, want); err != nil {
+		t.Fatal(err)
+	}
+	wantState := drainedState(ctx, t, ref, want.DeviceID)
 	got := drainedState(ctx, t, c, dev)
-	if !reflect.DeepEqual(got.State, want.State) {
-		t.Fatalf("replanned session is not the parked checkpoint:\n got %+v\nwant %+v", got.State, want.State)
+	if !reflect.DeepEqual(got.State, wantState.State) {
+		t.Fatalf("replanned session is not a fresh registration from the forecasts:\n got %+v\nwant %+v", got.State, wantState.State)
 	}
 }
 

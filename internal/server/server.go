@@ -1261,9 +1261,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	if srv == nil {
 		// Never started (handler-only embedding): there are no in-flight
-		// requests to drain, but the ingestion shards and fleet
-		// partitions may be running. The daemon stops first — its
-		// flushes call into the fleet.
+		// requests to drain, but the ingestion daemon and the fleet
+		// may be running. The daemon stops first — its flushes call
+		// into the fleet.
 		if s.ingest != nil {
 			s.ingest.Close()
 		}
