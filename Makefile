@@ -25,13 +25,6 @@ bench:
 serve:
 	$(GO) run ./cmd/dpmd -addr :8080
 
-# Load-test a running service (make serve in another terminal) and
-# diff sustained throughput against the recorded baselines.
-load:
-	$(GO) run ./cmd/dpmload -addr http://127.0.0.1:8080 -mode closed \
-		-sweep 1,4 -warmup 1s -duration 5s -out /tmp/dpmload_run.json
-	$(GO) run ./cmd/benchdiff -service /tmp/dpmload_run.json
-
 # Chaos soak: a live server behind seeded fault injection, hammered by
 # retrying clients under the race detector (-short bounds iterations).
 soak:

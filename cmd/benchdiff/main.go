@@ -1,22 +1,17 @@
 // Command benchdiff compares `go test -bench` output against the
-// recorded baselines in BENCH_pipeline.json — and, with -service, a
-// dpmload run file against BENCH_service.json — and reports
-// regressions. It is advisory by default: regressions print warnings
-// but the exit status stays 0, because benchmark noise on shared CI
-// runners would otherwise flake the build. Pass -strict to turn
-// warnings into a non-zero exit (for dedicated perf runners); with
-// both inputs, -strict fails when either file regresses.
+// recorded baselines in BENCH_pipeline.json and reports regressions.
+// It is advisory by default: regressions print warnings but the exit
+// status stays 0, because benchmark noise on shared CI runners would
+// otherwise flake the build. Pass -strict to turn warnings into a
+// non-zero exit (for dedicated perf runners).
 //
 //	go test . ./internal/pipeline -run '^$' -bench . -benchmem | benchdiff
 //	benchdiff -baseline BENCH_pipeline.json -threshold 0.2 bench.out
-//	benchdiff -service run.json -service-baseline BENCH_service.json
 //
-// Microbenchmark metrics (ns/op, B/op, allocs/op) and service
-// latencies (p50_ms, p99_ms) regress upward; service throughput
-// (plans_per_sec) regresses downward. A benchmark or row present in
-// the input but absent from the baseline file (or vice versa) is
-// reported informationally and never warns: new measurements need a
-// recorded baseline first.
+// Every metric (ns/op, B/op, allocs/op) regresses upward. A benchmark
+// present in the input but absent from the baseline file (or vice
+// versa) is reported informationally and never warns: new
+// measurements need a recorded baseline first.
 package main
 
 import (
@@ -46,29 +41,20 @@ type baselineFile struct {
 	Benchmarks map[string]map[string]json.RawMessage `json:"benchmarks"`
 }
 
-// baselineName reads the entry name a row's "baseline" field points
-// at, verifying the entry exists. Rows without one are skipped.
-func baselineName(raw map[string]json.RawMessage) (string, bool) {
-	var name string
-	if b, ok := raw["baseline"]; !ok || json.Unmarshal(b, &name) != nil || name == "" {
-		return "", false
-	}
-	if _, ok := raw[name]; !ok {
-		return "", false
-	}
-	return name, true
-}
-
 // baselineFor extracts the comparison entry for one benchmark: the
 // entry named by its "baseline" field. Benchmarks without a baseline
-// field are skipped.
+// field, or whose named entry is missing or malformed, are skipped.
 func baselineFor(raw map[string]json.RawMessage) (metrics, string, bool) {
-	name, ok := baselineName(raw)
+	var name string
+	if b, ok := raw["baseline"]; !ok || json.Unmarshal(b, &name) != nil || name == "" {
+		return metrics{}, "", false
+	}
+	entry, ok := raw[name]
 	if !ok {
 		return metrics{}, "", false
 	}
 	var m metrics
-	if json.Unmarshal(raw[name], &m) != nil {
+	if json.Unmarshal(entry, &m) != nil {
 		return metrics{}, "", false
 	}
 	return m, name, true
@@ -120,113 +106,6 @@ func regressed(got, base, threshold float64) bool {
 		return false
 	}
 	return got > base*(1+threshold)
-}
-
-// serviceRow is the slice of a dpmload measurement benchdiff
-// compares. Lower plans_per_sec is a regression; higher p50/p99 is.
-type serviceRow struct {
-	PlansPerSec float64 `json:"plans_per_sec"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-}
-
-// serviceRunFile is the dpmload -out schema.
-type serviceRunFile struct {
-	Rows map[string]serviceRow `json:"rows"`
-}
-
-// serviceBaselineFile mirrors BENCH_service.json: rows map entry
-// names to measurements plus a "baseline" string naming the entry to
-// compare against, the same shape BENCH_pipeline.json uses per
-// benchmark.
-type serviceBaselineFile struct {
-	Service map[string]map[string]json.RawMessage `json:"service"`
-}
-
-// regressedLower is regressed with inverted polarity, for throughput
-// metrics where a drop is the regression.
-func regressedLower(got, base, threshold float64) bool {
-	if got < 0 || base <= 0 {
-		return false
-	}
-	return got < base*(1-threshold)
-}
-
-// compareService diffs a dpmload run file against BENCH_service.json
-// and returns the number of regressed metrics.
-func compareService(runPath, basePath string, threshold float64) (int, error) {
-	rawRun, err := os.ReadFile(runPath)
-	if err != nil {
-		return 0, err
-	}
-	var run serviceRunFile
-	if err := json.Unmarshal(rawRun, &run); err != nil {
-		return 0, fmt.Errorf("parsing %s: %w", runPath, err)
-	}
-	rawBase, err := os.ReadFile(basePath)
-	if err != nil {
-		return 0, err
-	}
-	var base serviceBaselineFile
-	if err := json.Unmarshal(rawBase, &base); err != nil {
-		return 0, fmt.Errorf("parsing %s: %w", basePath, err)
-	}
-	if len(run.Rows) == 0 {
-		fmt.Printf("benchdiff: no rows in %s\n", runPath)
-		return 0, nil
-	}
-
-	names := make([]string, 0, len(run.Rows))
-	for name := range run.Rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	regressions := 0
-	for _, name := range names {
-		entry, ok := base.Service[name]
-		if !ok {
-			fmt.Printf("  %-40s no recorded baseline (record it in %s)\n", name, basePath)
-			continue
-		}
-		entryName, ok := baselineName(entry)
-		if !ok {
-			fmt.Printf("  %-40s baseline entry missing or malformed\n", name)
-			continue
-		}
-		var want serviceRow
-		if json.Unmarshal(entry[entryName], &want) != nil {
-			fmt.Printf("  %-40s baseline entry missing or malformed\n", name)
-			continue
-		}
-		g := run.Rows[name]
-		for _, c := range []struct {
-			unit      string
-			got, base float64
-			lowerBad  bool
-		}{
-			{"plans/sec", g.PlansPerSec, want.PlansPerSec, true},
-			{"p50_ms", g.P50Ms, want.P50Ms, false},
-			{"p99_ms", g.P99Ms, want.P99Ms, false},
-		} {
-			if c.got < 0 || c.base <= 0 {
-				continue
-			}
-			delta := (c.got - c.base) / c.base * 100
-			status := "ok"
-			bad := regressed(c.got, c.base, threshold)
-			if c.lowerBad {
-				bad = regressedLower(c.got, c.base, threshold)
-			}
-			if bad {
-				status = "WARN regression"
-				regressions++
-			}
-			fmt.Printf("  %-40s %-10s %12.4g vs %s %12.4g  %+7.1f%%  %s\n",
-				name, c.unit, c.got, entryName, c.base, delta, status)
-		}
-	}
-	return regressions, nil
 }
 
 // compareBench diffs parsed `go test -bench` output against
@@ -295,45 +174,25 @@ func compareBench(in io.Reader, baselinePath string, threshold float64) (int, er
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_pipeline.json", "microbenchmark baseline JSON file")
-	servicePath := flag.String("service", "", "dpmload run file to compare (skips stdin bench input when no file argument is given)")
-	serviceBaselinePath := flag.String("service-baseline", "BENCH_service.json", "service baseline JSON file")
 	threshold := flag.Float64("threshold", 0.20, "relative regression threshold (0.20 = +20%)")
-	strict := flag.Bool("strict", false, "exit non-zero when a regression is found in any compared file")
+	strict := flag.Bool("strict", false, "exit non-zero when a regression is found")
 	flag.Parse()
 
-	// Regressions accumulate across both inputs so -strict fails when
-	// either the microbenchmarks or the service run regressed — not
-	// just whichever compare happened to run last.
-	regressions := 0
-
-	// Bench input comes from a file argument or stdin; when only
-	// -service is given, the bench compare is skipped entirely.
-	if flag.NArg() > 0 || *servicePath == "" {
-		in := io.Reader(os.Stdin)
-		if flag.NArg() > 0 {
-			f, err := os.Open(flag.Arg(0))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchdiff:", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			in = f
-		}
-		n, err := compareBench(in, *baselinePath, *threshold)
+	// Bench input comes from a file argument or stdin.
+	in := io.Reader(os.Stdin)
+	if flag.NArg() > 0 {
+		f, err := os.Open(flag.Arg(0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(2)
 		}
-		regressions += n
+		defer f.Close()
+		in = f
 	}
-
-	if *servicePath != "" {
-		n, err := compareService(*servicePath, *serviceBaselinePath, *threshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		regressions += n
+	regressions, err := compareBench(in, *baselinePath, *threshold)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(2)
 	}
 
 	if regressions > 0 {

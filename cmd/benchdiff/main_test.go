@@ -62,23 +62,6 @@ func TestRegressed(t *testing.T) {
 	}
 }
 
-func TestRegressedLower(t *testing.T) {
-	for _, tc := range []struct {
-		got, base, threshold float64
-		want                 bool
-	}{
-		{95, 100, 0.2, false},  // -5% throughput under a 20% gate
-		{79, 100, 0.2, true},   // -21% over
-		{150, 100, 0.2, false}, // improvement
-		{5, 0, 0.2, false},     // zero baseline skipped
-		{-1, 100, 0.2, false},  // metric not recorded
-	} {
-		if got := regressedLower(tc.got, tc.base, tc.threshold); got != tc.want {
-			t.Errorf("regressedLower(%g, %g, %g) = %v, want %v", tc.got, tc.base, tc.threshold, got, tc.want)
-		}
-	}
-}
-
 // writeFile drops content into a temp file and returns its path.
 func writeFile(t *testing.T, name, content string) string {
 	t.Helper()
@@ -87,69 +70,6 @@ func writeFile(t *testing.T, name, content string) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-func TestCompareService(t *testing.T) {
-	base := writeFile(t, "BENCH_service.json", `{
-	  "service": {
-	    "closed_c4": {
-	      "baseline": "post_columnar",
-	      "post_columnar": {"plans_per_sec": 1000, "p50_ms": 1.0, "p99_ms": 4.0}
-	    },
-	    "open_q500": {
-	      "baseline": "post_columnar",
-	      "post_columnar": {"plans_per_sec": 500, "p50_ms": 2.0, "p99_ms": 8.0}
-	    },
-	    "no_baseline_field": {
-	      "post_columnar": {"plans_per_sec": 1}
-	    }
-	  }
-	}`)
-
-	// Healthy run: throughput up, latency flat — zero regressions.
-	good := writeFile(t, "good.json", `{"rows": {
-	  "closed_c4": {"plans_per_sec": 1200, "p50_ms": 0.9, "p99_ms": 3.5},
-	  "open_q500": {"plans_per_sec": 510, "p50_ms": 2.0, "p99_ms": 7.9},
-	  "unknown_row": {"plans_per_sec": 1},
-	  "no_baseline_field": {"plans_per_sec": 1}
-	}}`)
-	n, err := compareService(good, base, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("healthy run: %d regressions, want 0", n)
-	}
-
-	// Throughput collapse regresses with inverted polarity; latency
-	// growth regresses upward: 1 + 2 metrics across the two rows.
-	bad := writeFile(t, "bad.json", `{"rows": {
-	  "closed_c4": {"plans_per_sec": 700, "p50_ms": 1.0, "p99_ms": 4.0},
-	  "open_q500": {"plans_per_sec": 500, "p50_ms": 3.0, "p99_ms": 12.0}
-	}}`)
-	n, err = compareService(bad, base, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("regressed run: %d regressions, want 3", n)
-	}
-
-	// A faster p50 must never count as a regression even though the
-	// throughput polarity is inverted.
-	fast := writeFile(t, "fast.json", `{"rows": {
-	  "closed_c4": {"plans_per_sec": 1000, "p50_ms": 0.1, "p99_ms": 0.2}
-	}}`)
-	if n, err = compareService(fast, base, 0.2); err != nil || n != 0 {
-		t.Errorf("faster run: n=%d err=%v, want 0 regressions", n, err)
-	}
-
-	if _, err := compareService(writeFile(t, "junk.json", "{"), base, 0.2); err == nil {
-		t.Error("malformed run file: want error")
-	}
-	if _, err := compareService(good, writeFile(t, "junkbase.json", "]"), 0.2); err == nil {
-		t.Error("malformed baseline: want error")
-	}
 }
 
 func TestCompareBenchCounts(t *testing.T) {

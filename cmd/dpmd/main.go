@@ -17,10 +17,10 @@
 //	dpmd -cache 1024 -timeout 5s           # larger cache, tighter SLO
 //	dpmd -cache-shards 1                   # single-lock plan cache
 //	dpmd -table-cache 512                  # more memoized (n,f) tables
-//	dpmd -log-json                         # structured JSON request logs
+//	dpmd -log-json                         # JSON request logs instead of key=value text
+//	dpmd -quiet                            # no request or lifecycle logs
 //	dpmd -debug-addr 127.0.0.1:6060        # pprof on a second listener
 //	dpmd -drain-grace 5s                   # readiness flips before the listener closes
-//	dpmd -no-shed                          # queue-until-expired instead of shedding
 //	dpmd -fleet-max-sessions 100000        # cap fleet sessions (503 + Retry-After beyond)
 //	dpmd -fleet-idle-ttl 1h                # park idle sessions' checkpoints after an hour
 //	dpmd -ingest-addr :8125                # StatsD UDP telemetry → live forecasts → divergence replans
@@ -34,7 +34,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,12 +61,8 @@ func main() {
 		"serve net/http/pprof on this address (empty disables the profiler)")
 	drainGrace := flag.Duration("drain-grace", 0,
 		"keep the listener open this long after /readyz flips to 503 at shutdown, so load balancers observe not-ready before connections fail")
-	noShed := flag.Bool("no-shed", false,
-		"disable deadline-aware admission shedding; saturated requests queue until admitted or expired")
 	chaosHold := flag.Duration("chaos-hold", 0,
 		"hold every pooled request this long after it takes a worker slot — overload drills only")
-	fleetPartitions := flag.Int("fleet-partitions", 0,
-		"fleet session partition count, rounded up to a power of two (0 = GOMAXPROCS rounded up, capped at 16)")
 	fleetMaxSessions := flag.Int("fleet-max-sessions", 0,
 		"cap on live fleet sessions; registrations beyond it answer 503 with Retry-After (0 = unlimited)")
 	fleetIdleTTL := flag.Duration("fleet-idle-ttl", 0,
@@ -93,9 +88,7 @@ func main() {
 		MaxBodyBytes:     *maxBody,
 		DebugAddr:        *debugAddr,
 		DrainGrace:       *drainGrace,
-		DisableShedding:  *noShed,
 		ChaosHold:        *chaosHold,
-		FleetPartitions:  *fleetPartitions,
 		FleetMaxSessions: *fleetMaxSessions,
 		FleetIdleTTL:     *fleetIdleTTL,
 	}
@@ -107,11 +100,7 @@ func main() {
 		cfg.IngestEventEnergyJ = *ingestEventEnergy
 	}
 	if !*quiet {
-		if *logJSON {
-			cfg.AccessLog = obs.NewLogger(os.Stderr, true)
-		} else {
-			cfg.Logger = log.New(os.Stderr, "dpmd ", log.LstdFlags|log.Lmsgprefix)
-		}
+		cfg.AccessLog = obs.NewLogger(os.Stderr, *logJSON)
 	}
 	logStartupConfig(cfg, *tableCache, *shutdownTimeout)
 	if err := run(cfg, *tableCache, *shutdownTimeout); err != nil {
@@ -125,7 +114,10 @@ func main() {
 // parsing — so a deployment's settings are recoverable from its first
 // log line.
 func logStartupConfig(cfg server.Config, tableCacheEntries int, shutdownTimeout time.Duration) {
-	fields := []obs.Field{
+	if cfg.AccessLog == nil {
+		return
+	}
+	cfg.AccessLog.Event("config",
 		obs.F("addr", cfg.Addr),
 		obs.F("pool", cfg.PoolSize),
 		obs.F("cache_entries", cfg.CacheEntries),
@@ -136,28 +128,13 @@ func logStartupConfig(cfg server.Config, tableCacheEntries int, shutdownTimeout 
 		obs.F("max_body_bytes", cfg.MaxBodyBytes),
 		obs.F("debug_addr", cfg.DebugAddr),
 		obs.F("drain_grace", cfg.DrainGrace.String()),
-		obs.F("no_shed", cfg.DisableShedding),
-		obs.F("fleet_partitions", cfg.FleetPartitions),
 		obs.F("fleet_max_sessions", cfg.FleetMaxSessions),
 		obs.F("fleet_idle_ttl", cfg.FleetIdleTTL.String()),
 		obs.F("ingest_addr", cfg.IngestAddr),
 		obs.F("ingest_flush", cfg.IngestFlush.String()),
 		obs.F("ingest_predictor", cfg.IngestPredictor),
 		obs.F("divergence_threshold", cfg.DivergenceThreshold),
-		obs.F("log_json", cfg.AccessLog != nil),
-	}
-	if cfg.AccessLog != nil {
-		cfg.AccessLog.Event("config", fields...)
-		return
-	}
-	if cfg.Logger != nil {
-		// Render the same fields in the legacy logger's key=value style.
-		line := "config"
-		for _, f := range fields {
-			line += fmt.Sprintf(" %s=%v", f.Key, f.Value)
-		}
-		cfg.Logger.Print(line)
-	}
+		obs.F("log_json", cfg.AccessLog.JSON()))
 }
 
 // testReady, when non-nil, receives the bound listen address once

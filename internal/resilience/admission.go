@@ -87,7 +87,6 @@ func (e *endpointState) observe(seconds float64) {
 type Controller struct {
 	pool    int
 	sem     chan struct{}
-	noShed  bool
 	waiting atomic.Int64
 
 	mu  sync.RWMutex
@@ -95,18 +94,15 @@ type Controller struct {
 }
 
 // NewController returns a controller over pool worker slots
-// (pool < 1 is clamped to 1). noShed disables predictive shedding —
-// requests then queue until admitted or expired, the pre-admission
-// behavior.
-func NewController(pool int, noShed bool) *Controller {
+// (pool < 1 is clamped to 1).
+func NewController(pool int) *Controller {
 	if pool < 1 {
 		pool = 1
 	}
 	return &Controller{
-		pool:   pool,
-		sem:    make(chan struct{}, pool),
-		noShed: noShed,
-		eps:    make(map[string]*endpointState),
+		pool: pool,
+		sem:  make(chan struct{}, pool),
+		eps:  make(map[string]*endpointState),
 	}
 }
 
@@ -180,7 +176,7 @@ func (c *Controller) Acquire(ctx context.Context, endpoint string) (Slot, Decisi
 		return Slot{c: c, st: st, start: time.Now()}, Admitted, 0
 	default:
 	}
-	if deadline, ok := ctx.Deadline(); ok && !c.noShed {
+	if deadline, ok := ctx.Deadline(); ok {
 		if est := st.estimate(); est > 0 {
 			// All slots are busy; this request waits behind the current
 			// queue plus the in-flight generation. Expected wait until

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAdmissionFastPathAdmits(t *testing.T) {
-	c := NewController(2, false)
+	c := NewController(2)
 	slot, d, _ := c.Acquire(context.Background(), "/v1/plan")
 	if d != Admitted {
 		t.Fatalf("decision %v with free slots, want admitted", d)
@@ -27,7 +27,7 @@ func TestAdmissionFastPathAdmits(t *testing.T) {
 // known service-time estimate and checks a short-deadline request is
 // rejected immediately rather than queued to die.
 func TestAdmissionShedsDoomedRequest(t *testing.T) {
-	c := NewController(1, false)
+	c := NewController(1)
 	// Seed the estimate: ~2 s per request on this endpoint.
 	c.state("/v1/plan").observe(2.0)
 
@@ -57,7 +57,7 @@ func TestAdmissionShedsDoomedRequest(t *testing.T) {
 // but gives the waiter enough budget: it must queue and be admitted
 // once the slot frees.
 func TestAdmissionAdmitsWhenDeadlineFits(t *testing.T) {
-	c := NewController(1, false)
+	c := NewController(1)
 	c.state("/v1/plan").observe(0.01) // 10 ms estimate
 
 	hold, _, _ := c.Acquire(context.Background(), "/v1/plan")
@@ -85,7 +85,7 @@ func TestAdmissionAdmitsWhenDeadlineFits(t *testing.T) {
 }
 
 func TestAdmissionExpiresQueuedRequest(t *testing.T) {
-	c := NewController(1, false)
+	c := NewController(1)
 	// No estimate yet: shedding cannot trigger, so the request queues
 	// and dies at its deadline — the pre-estimate conservative path.
 	hold, _, _ := c.Acquire(context.Background(), "/v1/plan")
@@ -106,7 +106,7 @@ func TestAdmissionExpiresQueuedRequest(t *testing.T) {
 }
 
 func TestAdmissionExpiredBeforeArrival(t *testing.T) {
-	c := NewController(4, false)
+	c := NewController(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, d, _ := c.Acquire(ctx, "/v1/plan")
@@ -115,32 +115,11 @@ func TestAdmissionExpiredBeforeArrival(t *testing.T) {
 	}
 }
 
-func TestAdmissionNoShedDisablesPrediction(t *testing.T) {
-	c := NewController(1, true)
-	c.state("/v1/plan").observe(10.0) // huge estimate
-
-	hold, _, _ := c.Acquire(context.Background(), "/v1/plan")
-	defer hold.Release()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_, d, _ := c.Acquire(ctx, "/v1/plan")
-	if d != Shed {
-		// With shedding disabled, the doomed request queues and
-		// expires instead.
-		if d != Expired {
-			t.Fatalf("decision %v, want expired", d)
-		}
-		return
-	}
-	t.Fatal("noShed controller shed a request")
-}
-
 // TestAdmissionConcurrent hammers a small pool from many goroutines
 // under -race: every admitted slot must be released, counters must
 // add up, and the queue depth must return to zero.
 func TestAdmissionConcurrent(t *testing.T) {
-	c := NewController(4, false)
+	c := NewController(4)
 	const workers = 32
 	var wg sync.WaitGroup
 	var admitted, other sync.Map
@@ -193,7 +172,7 @@ func TestCeilSeconds(t *testing.T) {
 // an already-seen endpoint does not reset its estimate, and distinct
 // endpoints keep distinct EWMA states.
 func TestAdmissionPrime(t *testing.T) {
-	c := NewController(2, false)
+	c := NewController(2)
 	c.Prime("/v1/fleet/register", "/v1/fleet/tick")
 	snap := c.Snapshot()
 	if len(snap) != 2 {

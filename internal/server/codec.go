@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -43,12 +44,12 @@ import (
 // splice the name back by rewriting only the record prefix — the
 // exact trick the JSON path plays with withScenarioName.
 //
-// Encoding appends into pooled scratch buffers; the cache path copies
-// out once (the LRU owns its bytes) and the direct path writes the
-// scratch straight to the wire. Decoding is allocation-light: only
-// the float columns and strings the caller keeps are allocated, and
-// every length is bounds-checked against the remaining input before
-// allocation so hostile lengths fail fast instead of sizing a make().
+// A cached plan response is encoded into pooled scratch and copied
+// out once (the LRU owns its bytes). Decoding is allocation-light:
+// only the float columns and strings the caller keeps are allocated,
+// and every length is bounds-checked against the remaining input
+// before allocation so hostile lengths fail fast instead of sizing a
+// make().
 
 // BinaryContentType is the negotiated media type of the binary plan
 // codec.
@@ -384,6 +385,16 @@ func AppendPlanResponseBinary(dst []byte, resp *PlanResponse) []byte {
 	return appendBool(dst, resp.Feasible)
 }
 
+// encodePlanBinary renders a plan response as the cache stores it:
+// encoded in pooled scratch, then one exact-size copy out, since the
+// cache owns its bytes outright (the same contract as canonicalJSON).
+func encodePlanBinary(resp *PlanResponse) ([]byte, error) {
+	buf := binBufPool.Get().(*[]byte)
+	defer binBufPool.Put(buf)
+	*buf = AppendPlanResponseBinary((*buf)[:0], resp)
+	return bytes.Clone(*buf), nil
+}
+
 func readPlanResponseBody(r *binReader) *PlanResponse {
 	resp := &PlanResponse{
 		Scenario:   r.string_(),
@@ -479,19 +490,11 @@ func AppendBinaryError(dst []byte, status int, msg string) []byte {
 	return appendString(dst, msg)
 }
 
-// binaryBatchItem is one encoded item of a binary batch response: the
-// Body bytes are a complete binary record — a plan response on
-// success, an error record otherwise — exactly as the JSON form
-// embeds the verbatim /v1/plan body.
-type binaryBatchItem struct {
-	Status int
-	Cache  string
-	Body   []byte
-}
-
 // appendBatchResponseBinary encodes a binary batch response from
-// already-encoded item bodies.
-func appendBatchResponseBinary(dst []byte, items []binaryBatchItem) []byte {
+// already-encoded item bodies: each Body is a complete binary record —
+// a plan response on success, an error record otherwise — exactly as
+// the JSON form embeds the verbatim /v1/plan body.
+func appendBatchResponseBinary(dst []byte, items []BatchItem) []byte {
 	dst = appendHeader(dst, binKindBatchResponse)
 	dst = appendUvarint(dst, uint64(len(items)))
 	for i := range items {

@@ -321,3 +321,80 @@ func TestJSONGoldenUnchangedAfterBinaryTraffic(t *testing.T) {
 	}
 	assertGolden(t, "plan_scenario_I.golden", body)
 }
+
+// TestBinaryPlanIgnoresTrace: the trace envelope is JSON-only. A
+// binary-Accept /v1/plan that opts into tracing gets the bare binary
+// record, byte-identical to the untraced reply, with no trace header.
+func TestBinaryPlanIgnoresTrace(t *testing.T) {
+	_, base := startServer(t, Config{})
+	enc := AppendPlanRequestBinary(nil, &PlanRequest{Scenario: trace.ScenarioI()})
+	status, _, plain := postRaw(t, base, "/v1/plan", BinaryContentType, BinaryContentType, enc)
+	if status != http.StatusOK {
+		t.Fatalf("untraced: status %d: %s", status, plain)
+	}
+
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/plan", bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", BinaryContentType)
+	req.Header.Set("Accept", BinaryContentType)
+	req.Header.Set(traceHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	traced, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced: status %d: %s", resp.StatusCode, traced)
+	}
+	if got := resp.Header.Get(traceHeader); got != "" {
+		t.Errorf("binary reply carries %s: %q", traceHeader, got)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != BinaryContentType {
+		t.Errorf("traced binary reply Content-Type %q, want %q", ct, BinaryContentType)
+	}
+	if !bytes.Equal(traced, plain) {
+		t.Errorf("traced binary bytes diverge from the untraced reply:\n got %x\nwant %x", traced, plain)
+	}
+}
+
+// TestBinaryBatchSharesNamedEntries: batch items that name one
+// scenario differently share a single "planb" cache entry, and each
+// item's record carries its own name spliced back in.
+func TestBinaryBatchSharesNamedEntries(t *testing.T) {
+	srv, base := startServer(t, Config{})
+	names := []string{"node-a", "node-b", ""}
+	reqs := make([]PlanRequest, len(names))
+	for i, name := range names {
+		reqs[i].Scenario = trace.ScenarioI()
+		reqs[i].Scenario.Name = name
+	}
+	enc := AppendBatchRequestBinary(nil, &BatchRequest{Requests: reqs})
+	status, _, body := postRaw(t, base, "/v1/batch", BinaryContentType, BinaryContentType, enc)
+	if status != http.StatusOK {
+		t.Fatalf("binary batch: status %d: %s", status, body)
+	}
+	items, err := DecodeBatchResponseBinary(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != len(names) {
+		t.Fatalf("%d items, want %d", len(items), len(names))
+	}
+	for i, item := range items {
+		if item.Status != http.StatusOK || item.Plan == nil {
+			t.Fatalf("item %d: status %d, message %q", i, item.Status, item.Message)
+		}
+		if item.Plan.Scenario != names[i] {
+			t.Errorf("item %d: scenario %q, want %q", i, item.Plan.Scenario, names[i])
+		}
+	}
+	if st := srv.CacheStats(); st.Len != 1 {
+		t.Errorf("cache holds %d entries, want 1 shared by every name", st.Len)
+	}
+}

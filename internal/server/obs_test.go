@@ -325,6 +325,31 @@ func TestAccessLogJSON(t *testing.T) {
 	}
 }
 
+// TestAccessLogText: the default text encoding writes one "request"
+// line per request, in key=value form, with the status and request id.
+func TestAccessLogText(t *testing.T) {
+	var buf bytes.Buffer
+	_, base := startServer(t, Config{PoolSize: 2, AccessLog: obs.NewLogger(&buf, false)})
+	status, _, body := postJSONHeaders(t, base, "/v1/plan", planBody(t), map[string]string{"X-Request-Id": "log-text-1"})
+	if status != http.StatusOK {
+		t.Fatalf("plan status %d: %s", status, body)
+	}
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.Contains(line, " request ") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("%d request lines, want 1, in:\n%s", len(lines), buf.String())
+	}
+	for _, want := range []string{"status=200", "request_id=log-text-1", "path=/v1/plan"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("request line lacks %q: %s", want, lines[0])
+		}
+	}
+}
+
 // TestDebugListenerServesPprof checks the profiler is reachable on the
 // dedicated debug listener and absent from the API listener.
 func TestDebugListenerServesPprof(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -71,13 +70,10 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies. Default 1 MiB.
 	MaxBodyBytes int64
-	// Logger receives one line per request; nil disables logging.
-	// Ignored when AccessLog is set.
-	Logger *log.Logger
-	// AccessLog, when non-nil, replaces Logger with structured events:
-	// one "request" event per request (request_id, method, path,
-	// status, bytes, dur_ms, cache, remote) plus "listening" and
-	// "shutdown" lifecycle events.
+	// AccessLog, when non-nil, receives structured events: one
+	// "request" event per request (request_id, method, path, status,
+	// bytes, dur_ms, cache, remote) plus "listening" and "shutdown"
+	// lifecycle events. nil disables logging.
 	AccessLog *obs.Logger
 	// DebugAddr, when non-empty, serves net/http/pprof on a second
 	// listener at that address. The profiling mux is deliberately
@@ -89,10 +85,6 @@ type Config struct {
 	// stop routing before connections start failing. 0 closes the
 	// listener immediately.
 	DrainGrace time.Duration
-	// DisableShedding turns off predictive admission shedding.
-	// Requests then queue until a worker slot frees or their deadline
-	// expires — the pre-admission-control behavior.
-	DisableShedding bool
 	// ChaosHold, when positive, holds every pooled request for that
 	// long (or until its deadline expires) after it takes a worker
 	// slot. It exists to drive the pool into saturation
@@ -103,9 +95,6 @@ type Config struct {
 	// chaos middleware (internal/chaostest.Middleware) and embedder
 	// instrumentation attach to.
 	Wrap func(http.Handler) http.Handler
-	// FleetPartitions is the fleet session partition count, rounded up
-	// to a power of two. 0 picks fleet.DefaultPartitions().
-	FleetPartitions int
 	// FleetMaxSessions caps live fleet sessions; a register beyond the
 	// cap answers 503 with Retry-After. 0 means unlimited.
 	FleetMaxSessions int
@@ -200,7 +189,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	fm, err := fleet.New(fleet.Config{
-		Partitions:  cfg.FleetPartitions,
 		MaxSessions: cfg.FleetMaxSessions,
 		IdleTTL:     cfg.FleetIdleTTL,
 	})
@@ -211,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		cache: cache,
 		start: time.Now(),
-		adm:   resilience.NewController(cfg.PoolSize, cfg.DisableShedding),
+		adm:   resilience.NewController(cfg.PoolSize),
 		fleet: fm,
 		mux:   http.NewServeMux(),
 	}
@@ -391,9 +379,6 @@ func (s *Server) endpoint(method string, pooled bool, h http.HandlerFunc) http.H
 				obs.F("dur_ms", float64(dur.Microseconds())/1000),
 				obs.F("cache", cache),
 				obs.F("remote", r.RemoteAddr))
-		} else if s.cfg.Logger != nil {
-			s.cfg.Logger.Printf("method=%s path=%s status=%d bytes=%d dur_ms=%.3f cache=%s remote=%s request_id=%s",
-				r.Method, r.URL.Path, sw.status, sw.bytes, float64(dur.Microseconds())/1000, cache, r.RemoteAddr, reqID)
 		}
 	})
 }
@@ -401,8 +386,8 @@ func (s *Server) endpoint(method string, pooled bool, h http.HandlerFunc) http.H
 // errorJSON renders the structured error body exactly as writeError
 // sends it, without the trailing newline — the form batch items
 // embed.
-func errorJSON(status int, msg string) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf("{\"error\":%q,\"status\":%d}", msg, status))
+func errorJSON(status int, msg string) []byte {
+	return fmt.Appendf(nil, "{\"error\":%q,\"status\":%d}", msg, status)
 }
 
 // writeError emits the structured error body.
@@ -479,18 +464,16 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, status, msg)
 }
 
-// writeJSONBytes writes a pre-marshaled JSON body.
-func writeJSONBytes(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBytes writes a pre-encoded 200 body of the given media type.
+func writeBytes(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck
 }
 
-// writeBinaryBytes writes a pre-encoded binary-codec body.
-func writeBinaryBytes(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck
+// writeJSONBytes writes a pre-marshaled JSON body.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	writeBytes(w, "application/json", body)
 }
 
 // marshalBody renders a response exactly as the cache stores it, so
@@ -507,12 +490,9 @@ func marshalBody(v any) ([]byte, error) {
 // plan and params endpoints: look the canonical key up, compute and
 // insert on a miss — coalescing concurrent identical misses onto one
 // computation — and tag the response with the X-Dpmd-Cache header
-// either way. decorate, when non-nil, rewrites the cached body into
-// the final wire form (e.g. splicing the request's scenario name
-// back in); it must be deterministic so hits stay byte-identical to
-// the miss that populated them. The response is never written after
-// the request's deadline has expired.
-func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key string, decorate func([]byte) []byte, compute func(ctx context.Context) (any, error)) {
+// either way. The response is never written after the request's
+// deadline has expired.
+func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key string, compute func(ctx context.Context) (any, error)) {
 	ctx := r.Context()
 	body, served, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
 		if err := ctx.Err(); err != nil {
@@ -535,9 +515,6 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key strin
 	state := "miss"
 	if served {
 		state = "hit"
-	}
-	if decorate != nil {
-		body = decorate(body)
 	}
 	w.Header().Set(cacheHeader, state)
 	writeJSONBytes(w, body)
@@ -571,22 +548,81 @@ func planResponse(ctx context.Context, req *PlanRequest, keyScenario trace.Scena
 	}, nil
 }
 
+// planCodec is one wire form of the /v1/plan and /v1/batch replies.
+// The plan flow itself is shared; a codec supplies only what differs
+// between the forms. The cache stores wire bytes and the forms
+// differ, so each lives in its own keyspace. (A fleet speaking both
+// forms for one scenario computes the plan once per form; in
+// practice hot clients standardize on one.)
+type planCodec struct {
+	contentType string
+	// keyPrefix names the codec's plan-cache keyspace.
+	keyPrefix string
+	// encode renders a computed, name-free plan as the cache stores it.
+	encode func(*PlanResponse) ([]byte, error)
+	// withName splices the request's scenario name into a cached body.
+	withName func(name string, body []byte) []byte
+	// itemError renders a failed batch item's body.
+	itemError func(status int, msg string) []byte
+	// batch assembles a batch response from its items' bodies.
+	batch func(items []BatchItem) ([]byte, error)
+}
+
+var (
+	jsonPlan = &planCodec{
+		contentType: "application/json",
+		keyPrefix:   "plan",
+		encode:      func(resp *PlanResponse) ([]byte, error) { return marshalBody(resp) },
+		withName:    withScenarioName,
+		itemError:   errorJSON,
+		batch: func(items []BatchItem) ([]byte, error) {
+			// An item embeds its /v1/plan body without the trailing
+			// newline.
+			for i := range items {
+				items[i].Body = bytes.TrimSuffix(items[i].Body, []byte("\n"))
+			}
+			return marshalBody(&BatchResponse{Results: items})
+		},
+	}
+	binaryPlan = &planCodec{
+		contentType: BinaryContentType,
+		keyPrefix:   "planb",
+		encode:      encodePlanBinary,
+		withName:    withScenarioNameBinary,
+		itemError: func(status int, msg string) []byte {
+			return AppendBinaryError(nil, status, msg)
+		},
+		batch: func(items []BatchItem) ([]byte, error) {
+			return appendBatchResponseBinary(nil, items), nil
+		},
+	}
+)
+
+// planCodecFor picks the reply form the request negotiated.
+func planCodecFor(r *http.Request) *planCodec {
+	if acceptsBinary(r) {
+		return binaryPlan
+	}
+	return jsonPlan
+}
+
 // planBody answers one plan request through the shared
 // validate → cache → pipeline flow: validate and normalize, look the
 // canonical key up, compute and insert on a miss (coalescing
 // concurrent identical misses onto one computation), and splice the
 // request's scenario name back into the cached, name-free body. It
-// returns the exact wire body (with trailing newline) plus the cache
-// disposition, and is shared verbatim by /v1/plan and every
-// /v1/batch item so the two are byte-identical.
-func (s *Server) planBody(ctx context.Context, req *PlanRequest) ([]byte, string, error) {
+// returns the exact wire body in the codec's form (JSON with its
+// trailing newline) plus the cache disposition, and is shared
+// verbatim by /v1/plan and every /v1/batch item so the two are
+// byte-identical.
+func (s *Server) planBody(ctx context.Context, req *PlanRequest, codec *planCodec) ([]byte, string, error) {
 	if err := validatePlanRequest(req); err != nil {
 		return nil, "", err
 	}
 	s.tel.planStrategy.Add(strategyLabel(req.Planner), 1)
 	keyScenario := req.Scenario
 	keyScenario.Name = ""
-	key, err := plancache.Key("plan", req)
+	key, err := plancache.Key(codec.keyPrefix, req)
 	if err != nil {
 		return nil, "", err
 	}
@@ -600,7 +636,7 @@ func (s *Server) planBody(ctx context.Context, req *PlanRequest) ([]byte, string
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(resp)
+		return codec.encode(resp)
 	})
 	if err != nil {
 		return nil, "", err
@@ -610,56 +646,7 @@ func (s *Server) planBody(ctx context.Context, req *PlanRequest) ([]byte, string
 		state = "hit"
 	}
 	cspan.SetAttr("state", state)
-	return withScenarioName(req.Scenario.Name, body), state, nil
-}
-
-// planBodyBinary is planBody for the binary wire form: the same
-// validation, normalization and pipeline computation, cached under
-// the "planb" key prefix — the cache stores wire bytes and the two
-// encodings differ, so each lives in its own keyspace. (A fleet
-// speaking both encodings for one scenario computes the plan once per
-// encoding; in practice hot clients standardize on one.) The cached
-// body is name-free and the request's scenario name is spliced into
-// the record prefix per response, mirroring the JSON path exactly.
-func (s *Server) planBodyBinary(ctx context.Context, req *PlanRequest) ([]byte, string, error) {
-	if err := validatePlanRequest(req); err != nil {
-		return nil, "", err
-	}
-	s.tel.planStrategy.Add(strategyLabel(req.Planner), 1)
-	keyScenario := req.Scenario
-	keyScenario.Name = ""
-	key, err := plancache.Key("planb", req)
-	if err != nil {
-		return nil, "", err
-	}
-	ctx, cspan := obs.StartSpan(ctx, "plan.cache")
-	defer cspan.End()
-	body, served, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, err := planResponse(ctx, req, keyScenario)
-		if err != nil {
-			return nil, err
-		}
-		buf := binBufPool.Get().(*[]byte)
-		defer binBufPool.Put(buf)
-		*buf = AppendPlanResponseBinary((*buf)[:0], resp)
-		// One exact-size copy out of the pooled scratch: the cache owns
-		// its bytes outright, same contract as canonicalJSON.
-		out := make([]byte, len(*buf))
-		copy(out, *buf)
-		return out, nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	state := "miss"
-	if served {
-		state = "hit"
-	}
-	cspan.SetAttr("state", state)
-	return withScenarioNameBinary(req.Scenario.Name, body), state, nil
+	return codec.withName(req.Scenario.Name, body), state, nil
 }
 
 // handlePlan runs Algorithm 1 (§4.1): WPUF → balancing → feasible
@@ -696,21 +683,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	if acceptsBinary(r) {
-		body, state, err := s.planBodyBinary(r.Context(), &req)
-		if err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		if err := r.Context().Err(); err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		w.Header().Set(cacheHeader, state)
-		writeBinaryBytes(w, body)
-		return
-	}
-	body, state, err := s.planBody(r.Context(), &req)
+	codec := planCodecFor(r)
+	body, state, err := s.planBody(r.Context(), &req, codec)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -719,12 +693,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	if rec := obs.RecorderFrom(r.Context()); rec != nil && rec.Trace != nil {
+	if rec := obs.RecorderFrom(r.Context()); codec == jsonPlan && rec != nil && rec.Trace != nil {
 		s.writeTracedPlan(w, r, body, state, rec.Trace)
 		return
 	}
 	w.Header().Set(cacheHeader, state)
-	writeJSONBytes(w, body)
+	writeBytes(w, codec.contentType, body)
 }
 
 // writeTracedPlan answers a /v1/plan request that opted in with
@@ -789,65 +763,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := r.Context()
-	if acceptsBinary(r) {
-		s.handleBatchBinary(w, r, &req)
-		return
-	}
+	codec := planCodecFor(r)
 	results := make([]BatchItem, len(req.Requests))
 	// The batch holds one worker-pool slot; its items fan out across
 	// at most the same parallelism the pool would grant individual
 	// requests.
 	pipeline.ForEach(ctx, len(req.Requests), s.cfg.PoolSize, func(ctx context.Context, i int) {
-		body, state, err := s.planBody(ctx, &req.Requests[i])
+		body, state, err := s.planBody(ctx, &req.Requests[i], codec)
 		if err != nil {
 			status, msg := errorBody(err)
-			results[i] = BatchItem{Status: status, Body: errorJSON(status, msg)}
+			results[i] = BatchItem{Status: status, Body: codec.itemError(status, msg)}
 			return
 		}
-		results[i] = BatchItem{
-			Status: http.StatusOK,
-			Cache:  state,
-			Body:   json.RawMessage(bytes.TrimSuffix(body, []byte("\n"))),
-		}
+		results[i] = BatchItem{Status: http.StatusOK, Cache: state, Body: body}
 	})
 	if err := ctx.Err(); err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	body, err := marshalBody(&BatchResponse{Results: results})
+	body, err := codec.batch(results)
 	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	writeJSONBytes(w, body)
-}
-
-// handleBatchBinary answers an already-decoded batch request in the
-// binary response form: every item runs the same planBodyBinary flow
-// as a binary /v1/plan call (same cache, same bytes), failures embed
-// a binary error record with the status and message the JSON item
-// would carry, and the assembled response is encoded through pooled
-// scratch.
-func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request, req *BatchRequest) {
-	ctx := r.Context()
-	results := make([]binaryBatchItem, len(req.Requests))
-	pipeline.ForEach(ctx, len(req.Requests), s.cfg.PoolSize, func(ctx context.Context, i int) {
-		body, state, err := s.planBodyBinary(ctx, &req.Requests[i])
-		if err != nil {
-			status, msg := errorBody(err)
-			results[i] = binaryBatchItem{Status: status, Body: AppendBinaryError(nil, status, msg)}
-			return
-		}
-		results[i] = binaryBatchItem{Status: http.StatusOK, Cache: state, Body: body}
-	})
-	if err := ctx.Err(); err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	buf := binBufPool.Get().(*[]byte)
-	defer binBufPool.Put(buf)
-	*buf = appendBatchResponseBinary((*buf)[:0], results)
-	writeBinaryBytes(w, *buf)
+	writeBytes(w, codec.contentType, body)
 }
 
 // withScenarioName splices a scenario name into a cached, name-free
@@ -895,7 +834,7 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	s.respondCached(w, r, key, nil, func(ctx context.Context) (any, error) {
+	s.respondCached(w, r, key, func(ctx context.Context) (any, error) {
 		table, _, err := pipeline.Table(ctx, req.Hardware)
 		if err != nil {
 			return nil, err
@@ -1207,9 +1146,6 @@ func (s *Server) Start() error {
 			obs.F("cache", s.cfg.CacheEntries),
 			obs.F("timeout", s.cfg.RequestTimeout.String()),
 			obs.F("debug_addr", debugAddr))
-	} else if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("listening addr=%s pool=%d cache=%d timeout=%s",
-			ln.Addr(), s.cfg.PoolSize, s.cfg.CacheEntries, s.cfg.RequestTimeout)
 	}
 	return nil
 }
@@ -1309,8 +1245,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	closeLoops()
 	if s.cfg.AccessLog != nil {
 		s.cfg.AccessLog.Event("shutdown")
-	} else if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("shutdown complete")
 	}
 	return nil
 }
