@@ -58,3 +58,36 @@ func BenchmarkFleetTickParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFleetTickBatch measures one TickBatch over 256 sessions,
+// one slot report each and no results requested — the ingestion
+// flush's path. Each partition's lock is taken once per batch and
+// nothing is allocated per device; ns/device is the per-session share.
+func BenchmarkFleetTickBatch(b *testing.B) {
+	ctx := context.Background()
+	m := newTestManager(b, Config{})
+	const devices = 256
+	specs := make([]TickSpec, devices)
+	reports := make([]pipeline.SlotReport, devices)
+	for i := range specs {
+		spec := registerSpec(b, fmt.Sprintf("bench-batch-%03d", i))
+		if _, err := m.Register(ctx, spec); err != nil {
+			b.Fatal(err)
+		}
+		reports[i] = pipeline.SlotReport{UsedJ: 9.5, SuppliedJ: 11.0}
+		specs[i] = TickSpec{DeviceID: spec.DeviceID, Reports: reports[i : i+1]}
+	}
+	errs := make([]error, devices)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TickBatch(ctx, specs, nil, errs)
+	}
+	b.StopTimer()
+	for _, err := range errs {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*devices), "ns/device")
+}

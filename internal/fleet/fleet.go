@@ -13,7 +13,8 @@
 // writer at a time: every operation on a session runs inline in the
 // caller's goroutine under its partition's lock, so sessions need no
 // per-session locks and a tick costs one uncontended lock plus a few
-// hundred nanoseconds of Algorithm 3. Idle sessions are evicted on a
+// hundred nanoseconds of Algorithm 3; TickBatch ticks many devices
+// taking each partition's lock once. Idle sessions are evicted on a
 // TTL by one manager-owned sweeper goroutine, with their checkpoint
 // parked for handback — a re-register resumes exactly where the
 // evicted session stopped — and Drain removes every live session at
@@ -31,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -635,10 +637,7 @@ func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 	if m.closed.Load() {
 		return TickResult{}, ErrClosed
 	}
-	if err := ValidateDeviceID(spec.DeviceID); err != nil {
-		return TickResult{}, err
-	}
-	if err := pipeline.ValidateReports(spec.Reports); err != nil {
+	if err := validateTick(&spec); err != nil {
 		return TickResult{}, err
 	}
 	ctx, span := obs.StartSpan(ctx, "fleet.tick")
@@ -649,22 +648,139 @@ func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 		return TickResult{}, ErrClosed
 	}
 	defer p.mu.Unlock()
+	var res TickResult
+	err := p.tickLocked(ctx, &spec, m.now(), &res)
+	return res, err
+}
+
+// TickBatch applies every spec as a sequence of Tick calls would, in
+// one pass: items are grouped by partition, stably, so a device's
+// items keep their order (a repeated seq replays), each partition's
+// lock is taken once, the clock is read once, and the whole batch
+// records one fleet.tick span. errs[i] receives item i's error, nil on
+// success; when results is non-nil, results[i] receives its result.
+// errs, and results when given, must be as long as specs. With results
+// nil a tick without a seq builds no result at all, so a batch of such
+// ticks allocates nothing per item.
+func (m *Manager) TickBatch(ctx context.Context, specs []TickSpec, results []TickResult, errs []error) {
+	if m.closed.Load() {
+		for i := range specs {
+			errs[i] = ErrClosed
+		}
+		return
+	}
+	_, span := obs.StartSpan(ctx, "fleet.tick")
+	defer span.End()
+	span.SetAttr("items", len(specs))
+	g := groupPool.Get().(*grouping)
+	defer groupPool.Put(g)
+	g.group(m, specs, errs)
+	now := m.now()
+	lo := 0
+	for pi, p := range m.parts {
+		hi := int(g.end[pi])
+		items := g.order[lo:hi]
+		lo = hi
+		if len(items) == 0 {
+			continue
+		}
+		if !p.lock() {
+			for _, i := range items {
+				errs[i] = ErrClosed
+			}
+			continue
+		}
+		for _, i := range items {
+			var out *TickResult
+			if results != nil {
+				out = &results[i]
+			}
+			// No per-item span: the batch is one fleet.tick observation.
+			errs[i] = p.tickLocked(context.Background(), &specs[i], now, out)
+		}
+		p.mu.Unlock()
+	}
+}
+
+// validateTick applies a tick's input bounds.
+func validateTick(spec *TickSpec) error {
+	if err := ValidateDeviceID(spec.DeviceID); err != nil {
+		return err
+	}
+	return pipeline.ValidateReports(spec.Reports)
+}
+
+// grouping is TickBatch's reusable partition index: order lists the
+// valid items partition by partition, in input order within each, and
+// end[p] is where partition p's run in order ends.
+type grouping struct {
+	part  []int32
+	order []int32
+	end   []int32
+}
+
+var groupPool = sync.Pool{New: func() any { return new(grouping) }}
+
+// group validates every spec, records failures in errs, and counting-
+// sorts the valid items by partition.
+func (g *grouping) group(m *Manager, specs []TickSpec, errs []error) {
+	n, np := len(specs), len(m.parts)
+	g.part = slices.Grow(g.part[:0], n)[:n]
+	g.order = slices.Grow(g.order[:0], n)[:0]
+	g.end = slices.Grow(g.end[:0], np)[:np]
+	clear(g.end)
+	for i := range specs {
+		errs[i] = validateTick(&specs[i])
+		if errs[i] != nil {
+			g.part[i] = -1
+			continue
+		}
+		pi := int32(route.Hash(specs[i].DeviceID) & m.mask)
+		g.part[i] = pi
+		g.end[pi]++
+	}
+	// end[p] becomes the start of p's run; placing each item advances
+	// it, leaving end[p] at the run's end.
+	start := int32(0)
+	for pi, c := range g.end {
+		g.end[pi] = start
+		start += c
+	}
+	g.order = g.order[:start]
+	for i, pi := range g.part {
+		if pi >= 0 {
+			g.order[g.end[pi]] = int32(i)
+			g.end[pi]++
+		}
+	}
+}
+
+// tickLocked is the one per-item tick body Tick and TickBatch share:
+// session lookup, seq dedup, the Algorithm 3 loop and the counters.
+// The caller holds p's lock and has validated spec. ctx carries the
+// caller's fleet.tick span, under which the reports' fleet.replan span
+// opens. out, when non-nil, receives the result; a seq tick builds its
+// result regardless, since the session memoizes it for replays.
+func (p *partition) tickLocked(ctx context.Context, spec *TickSpec, now time.Time, out *TickResult) error {
+	m := p.m
 	s, ok := p.sessions[spec.DeviceID]
 	if !ok {
 		if _, parked := p.parked[spec.DeviceID]; parked {
-			return TickResult{}, ErrEvicted
+			return ErrEvicted
 		}
-		return TickResult{}, ErrUnknownDevice
+		return ErrUnknownDevice
 	}
-	s.lastActive = m.now()
+	s.lastActive = now
 	if spec.Seq != 0 && spec.Seq == s.lastSeq {
-		res := s.lastResult
-		res.Replayed = true
-		if !spec.IncludeState {
-			res.State = nil
-		}
 		m.ctr.replays.Add(1)
-		return res, nil
+		if out != nil {
+			*out = s.lastResult
+			out.Replayed = true
+			if !spec.IncludeState {
+				out.State = nil
+			}
+		}
+		return nil
 	}
 	_, rspan := obs.StartSpan(ctx, "fleet.replan")
 	replans := 0
@@ -675,6 +791,12 @@ func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 	}
 	rspan.SetAttr("replans", replans)
 	rspan.End()
+	m.ctr.ticks.Add(1)
+	m.ctr.slotReports.Add(uint64(len(spec.Reports)))
+	m.ctr.replans.Add(uint64(replans))
+	if out == nil && spec.Seq == 0 {
+		return nil
+	}
 	res := TickResult{
 		Slot:    s.mgr.Slot(),
 		ChargeJ: s.mgr.Charge(),
@@ -689,13 +811,13 @@ func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 		s.lastSeq = spec.Seq
 		s.lastResult = res
 	}
-	if !spec.IncludeState {
-		res.State = nil
+	if out != nil {
+		if !spec.IncludeState {
+			res.State = nil
+		}
+		*out = res
 	}
-	m.ctr.ticks.Add(1)
-	m.ctr.slotReports.Add(uint64(len(spec.Reports)))
-	m.ctr.replans.Add(uint64(replans))
-	return res, nil
+	return nil
 }
 
 // Drained is one removed session's final checkpoint.

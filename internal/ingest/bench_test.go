@@ -20,9 +20,37 @@ func BenchmarkParseLine(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestDatagram measures one two-line datagram for a
+// tracked device through Inject: split, parse and apply under the
+// daemon lock. The device lookup keys on the id's bytes, so the
+// datagram allocates nothing.
+func BenchmarkIngestDatagram(b *testing.B) {
+	d, err := New(Config{EventEnergyJ: 4.8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	g := schedule.NewGrid(4.8, []float64{1.2, 1.2, 1.2})
+	if err := d.Track("sat-007", g, g); err != nil {
+		b.Fatal(err)
+	}
+	datagram := []byte("sat-007.events:+3|c|@0.5\nsat-007.charge:2.4|g\n")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Inject(datagram)
+	}
+	b.StopTimer()
+	if st := d.Stats(); st.SamplesApplied != uint64(2*b.N) {
+		b.Fatalf("%d samples applied over %d datagrams", st.SamplesApplied, b.N)
+	}
+}
+
 // BenchmarkIngestFlush measures one full flush pass — 64 tracked
 // devices, each with a fresh sample window — including the per-device
-// slot close, divergence scoring and span capture.
+// slot close, divergence scoring and span capture. It has no
+// Replanner, so it prices no fleet tick; BenchmarkIngestFlushFleet in
+// internal/server does.
 func BenchmarkIngestFlush(b *testing.B) {
 	d, err := New(Config{EventEnergyJ: 4.8})
 	if err != nil {

@@ -10,23 +10,36 @@
 // (the server bridges it onto fleet.Manager's Tick and Replan).
 //
 // All device state sits in one map behind one mutex, as each fleet
-// partition's sessions do, and every operation runs inline in its
-// caller's goroutine: the UDP reader (or Inject) parses a datagram and
-// applies its samples under the lock, a flush closes every device's
-// window under it, and Track, Untrack and DeviceStatuses take it too.
-// The only goroutines are the UDP reader and the flush ticker. A
-// reader that waits on a flush leaves datagrams in the kernel socket
-// buffer. Lock order: a flush calls the Replanner, and so takes a
-// fleet partition lock, while it holds the daemon lock; nothing may
-// take the daemon lock while holding a fleet lock. The fleet never
-// calls into ingest, and the server never holds a fleet lock when it
-// calls the daemon.
+// partition's sessions do, with an id-sorted slice of the same devices
+// that Track and Untrack keep in order, and every operation runs
+// inline in its caller's goroutine: the UDP reader (or Inject) parses
+// a datagram and applies its samples under the lock, looking each
+// device up by the id's bytes, a flush closes every device's window
+// under it, and Track, Untrack and DeviceStatuses take it too. The
+// only goroutines are the UDP reader and the flush ticker. A reader
+// that waits on a flush leaves datagrams in the kernel socket buffer.
+//
+// A flush runs in two phases. It first closes every device's window
+// into a reused buffer of observed slots and ticks them all through
+// the Replanner in one call — its TickBatch when it implements
+// BatchTicker (the server's fleet bridge does: one fleet.Manager
+// TickBatch per flush), otherwise Tick per device through a small
+// adapter. It then scores divergence, forecasts and replans device by
+// device in id order, so each device's tick still precedes its
+// replan. Neither phase sorts or allocates per device.
+//
+// Lock order: a flush calls the Replanner, and so takes fleet
+// partition locks, while it holds the daemon lock; nothing may take
+// the daemon lock while holding a fleet lock. The fleet never calls
+// into ingest, and the server never holds a fleet lock when it calls
+// the daemon.
 //
 // Every stage is itself observable: dpmd_ingest_* Prometheus families
 // (WriteProm), obs spans on the flush→forecast→replan pipeline
 // (FlushNow records a span tree whose size does not grow with the
-// device count on a window without period wraps; per-device ticks
-// reach only the stage histograms), and structured log events for
+// device count on a window without period wraps; the flush's ticks
+// reach only the stage histograms, as one fleet.tick observation per
+// flush through the fleet bridge), and structured log events for
 // every triggered replan.
 package ingest
 
@@ -37,7 +50,8 @@ import (
 	"io"
 	"math"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,7 +80,9 @@ type SlotObservation struct {
 
 // Replanner receives the loop's outputs. The server implements it on
 // top of internal/fleet; tests stub it. Its methods run under the
-// daemon lock, so they must not call back into the Daemon.
+// daemon lock, so they must not call back into the Daemon. A Replanner
+// that also implements BatchTicker takes each flush's ticks in one
+// call.
 type Replanner interface {
 	// Tick streams one closed slot's observed energies into the
 	// device's live session.
@@ -75,6 +91,31 @@ type Replanner interface {
 	// called only after a sustained divergence breach, at a period
 	// boundary, with both forecast grids available.
 	Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) error
+}
+
+// SlotTick is one device's closed window in a flush's batch of ticks.
+type SlotTick struct {
+	DeviceID string
+	SlotObservation
+}
+
+// BatchTicker is an optional upgrade of Replanner, found by type
+// assertion as io.WriterTo is: a flush hands it every device's closed
+// slot at once, in device-id order, instead of calling Tick per
+// device. errs[i] receives ticks[i]'s error, nil on success. Both
+// slices are reused by the next flush and must not be retained. It
+// runs under the daemon lock, like Tick.
+type BatchTicker interface {
+	TickBatch(ctx context.Context, ticks []SlotTick, errs []error)
+}
+
+// tickEach adapts a Replanner without TickBatch: one Tick per device.
+type tickEach struct{ Replanner }
+
+func (r tickEach) TickBatch(ctx context.Context, ticks []SlotTick, errs []error) {
+	for i := range ticks {
+		errs[i] = r.Tick(ctx, ticks[i].DeviceID, ticks[i].SlotObservation)
+	}
 }
 
 // Predictor selectors for Config.Predictor.
@@ -172,10 +213,15 @@ type Daemon struct {
 	// mu guards the fields from closed to lastFlush. Each operation
 	// runs inline under it, so a Close that takes it waits out an
 	// in-flight flush.
-	mu        sync.Mutex
-	closed    bool
-	devices   map[string]*device
-	ids       []string // FlushNow's reused sort buffer
+	mu      sync.Mutex
+	closed  bool
+	devices map[string]*device
+	// sorted holds the devices of the map in id order; Track and
+	// Untrack keep it so, and flushes and status reads walk it.
+	sorted []*device
+	// ticks and tickErrs are FlushNow's reused batch buffers.
+	ticks     []SlotTick
+	tickErrs  []error
 	conn      *net.UDPConn
 	lastTrace *obs.Trace
 	lastFlush time.Time
@@ -194,6 +240,9 @@ type Daemon struct {
 	drops      []atomic.Uint64 // indexed like DropReasons
 
 	flushHist *obs.HistogramVec
+	// batch is the Replanner's BatchTicker, or its per-device
+	// adapter; nil without a Replanner.
+	batch BatchTicker
 }
 
 // dropIndex maps a drop reason to its counter slot.
@@ -221,14 +270,20 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("ingest: negative flush interval %s", cfg.FlushInterval)
 	}
-	return &Daemon{
+	d := &Daemon{
 		cfg:     cfg,
 		devices: make(map[string]*device),
 		quit:    make(chan struct{}),
 		drops:   make([]atomic.Uint64, len(DropReasons)),
 		flushHist: obs.NewHistogramVec("dpmd_ingest_flush_duration_seconds",
 			"Wall time of one full flush pass (all devices), by outcome.", "result", nil),
-	}, nil
+	}
+	if bt, ok := cfg.Replanner.(BatchTicker); ok {
+		d.batch = bt
+	} else if cfg.Replanner != nil {
+		d.batch = tickEach{cfg.Replanner}
+	}
+	return d, nil
 }
 
 // Start binds the UDP listener (when configured) and starts the flush
@@ -340,13 +395,13 @@ func (d *Daemon) ingestDatagram(data []byte) {
 			continue
 		}
 		d.lines.Add(1)
-		s, reason := ParseLine(line)
+		device, s, reason := parseLine(line)
 		if reason != "" {
 			d.drop(reason)
 			continue
 		}
 		d.parsed.Add(1)
-		d.apply(s)
+		d.apply(device, s)
 	}
 }
 
@@ -373,10 +428,11 @@ func (d *Daemon) flushLoop() {
 	}
 }
 
-// apply accumulates one parsed sample into its device's window.
-// Callers hold d.mu.
-func (d *Daemon) apply(s Sample) {
-	dev, ok := d.devices[s.Device]
+// apply accumulates one parsed sample into its device's window; the
+// lookup keys on the id's bytes, which does not allocate. Callers hold
+// d.mu.
+func (d *Daemon) apply(device []byte, s Sample) {
+	dev, ok := d.devices[string(device)]
 	if !ok {
 		d.drop(DropUntracked)
 		return
@@ -474,7 +530,7 @@ func (d *Daemon) Track(deviceID string, usage, charging *schedule.Grid) error {
 	up, _ := newPredictor(d.cfg.Predictor)
 	cp, _ := newPredictor(d.cfg.Predictor)
 	n := usage.Len()
-	d.devices[deviceID] = &device{
+	dev = &device{
 		id:              deviceID,
 		step:            usage.Step,
 		slots:           n,
@@ -484,6 +540,13 @@ func (d *Daemon) Track(deviceID string, usage, charging *schedule.Grid) error {
 		obsCharging:     make([]float64, n),
 		usagePred:       up,
 		chargingPred:    cp,
+	}
+	d.devices[deviceID] = dev
+	i, found := d.position(deviceID)
+	if found {
+		d.sorted[i] = dev
+	} else {
+		d.sorted = slices.Insert(d.sorted, i, dev)
 	}
 	d.deviceN.Store(int64(len(d.devices)))
 	return nil
@@ -496,8 +559,19 @@ func (d *Daemon) Untrack(deviceID string) {
 	if d.closed {
 		return
 	}
+	if i, found := d.position(deviceID); found {
+		d.sorted = slices.Delete(d.sorted, i, i+1)
+	}
 	delete(d.devices, deviceID)
 	d.deviceN.Store(int64(len(d.devices)))
+}
+
+// position finds deviceID in the sorted slice: its index, or where it
+// would be inserted. Callers hold d.mu.
+func (d *Daemon) position(deviceID string) (int, bool) {
+	return slices.BinarySearchFunc(d.sorted, deviceID, func(dev *device, id string) int {
+		return strings.Compare(dev.id, id)
+	})
 }
 
 // FlushResult summarizes one flush pass.
@@ -510,15 +584,16 @@ type FlushResult struct {
 	Replans     int `json:"replans"`
 }
 
-// FlushNow closes the current window of every tracked device: each
-// device's accumulated counters become one observed slot, the slot is
-// ticked into its fleet session, divergence is scored, and at period
-// boundaries the predictors re-forecast (firing a pending replan).
-// Devices flush in device-id order under the lock, so the recorded
-// span tree is a single deterministic flush→forecast→replan forest.
-// The Replanner's Tick gets a context that records only into the
-// stage histograms, so the tree holds one flush span plus the forecast
-// and replan spans of the devices whose period wrapped.
+// FlushNow closes the current window of every tracked device, in two
+// phases under the lock. First each device's accumulated counters
+// become one observed slot, and the flush hands every slot to the
+// Replanner in one batch (its TickBatch, or Tick per device). Then,
+// device by device in id order, divergence is scored and, at period
+// boundaries, the predictors re-forecast (firing a pending replan), so
+// a device's tick still precedes its replan. The ticks get a context
+// that records only into the stage histograms, so the recorded span
+// tree is one flush span plus the forecast and replan spans of the
+// devices whose period wrapped.
 func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -529,20 +604,33 @@ func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	rec := &obs.Recorder{Stages: d.cfg.Stages, Trace: obs.NewTrace()}
 	ctx = obs.WithRecorder(ctx, rec)
 	ctx, span := obs.StartSpan(ctx, "ingest.flush")
-	// Per-device ticks record stage durations only, not tree nodes.
-	tickCtx := obs.WithRecorder(ctx, &obs.Recorder{Stages: d.cfg.Stages})
-	ids := d.ids[:0]
-	for id := range d.devices {
-		ids = append(ids, id)
+	ticks := d.ticks[:0]
+	for _, dev := range d.sorted {
+		ticks = append(ticks, SlotTick{DeviceID: dev.id, SlotObservation: d.closeWindow(dev)})
 	}
-	sort.Strings(ids)
-	d.ids = ids
-	res := FlushResult{Devices: len(ids), SlotsClosed: len(ids)}
-	for _, id := range ids {
-		if d.flushDevice(ctx, tickCtx, d.devices[id]) {
+	d.ticks = ticks
+	errs := slices.Grow(d.tickErrs[:0], len(ticks))[:len(ticks)]
+	d.tickErrs = errs
+	if d.batch != nil {
+		tickCtx := obs.WithRecorder(ctx, &obs.Recorder{Stages: d.cfg.Stages})
+		d.batch.TickBatch(tickCtx, ticks, errs)
+	}
+	res := FlushResult{Devices: len(ticks), SlotsClosed: len(ticks)}
+	for i, dev := range d.sorted {
+		if errs[i] != nil {
+			d.tickErrors.Add(1)
+			if d.cfg.Log != nil {
+				d.cfg.Log.Event("ingest_tick_error",
+					obs.F("device", dev.id),
+					obs.F("slot", dev.slot),
+					obs.F("error", errs[i].Error()))
+			}
+		}
+		if d.score(ctx, dev) {
 			res.Replans++
 		}
 	}
+	clear(errs) // hold no error past the flush
 	span.SetAttr("devices", res.Devices)
 	span.SetAttr("replans", res.Replans)
 	span.End()
@@ -563,11 +651,10 @@ func clampPower(w float64) float64 {
 	return w
 }
 
-// flushDevice closes the device's window into one observed slot and
-// runs the divergence state machine. Reports whether a replan fired.
-func (d *Daemon) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
-	cfg := &d.cfg
-	usageW := clampPower(dev.events * cfg.EventEnergyJ / dev.step)
+// closeWindow turns the device's window into its observed slot,
+// recorded at the current slot index, and resets the window.
+func (d *Daemon) closeWindow(dev *device) SlotObservation {
+	usageW := clampPower(dev.events * d.cfg.EventEnergyJ / dev.step)
 	chargeW := dev.gaugeLevel // carry-forward when the window was silent
 	if dev.gaugeCount > 0 {
 		chargeW = dev.gaugeSum / float64(dev.gaugeCount)
@@ -579,24 +666,12 @@ func (d *Daemon) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	dev.obsUsage[dev.slot] = usageW
 	dev.obsCharging[dev.slot] = chargeW
 	d.slotsTotal.Add(1)
+	return SlotObservation{Slot: dev.slot, UsedJ: usageW * dev.step, SuppliedJ: chargeW * dev.step}
+}
 
-	if cfg.Replanner != nil {
-		err := cfg.Replanner.Tick(tickCtx, dev.id, SlotObservation{
-			Slot:      dev.slot,
-			UsedJ:     usageW * dev.step,
-			SuppliedJ: chargeW * dev.step,
-		})
-		if err != nil {
-			d.tickErrors.Add(1)
-			if cfg.Log != nil {
-				cfg.Log.Event("ingest_tick_error",
-					obs.F("device", dev.id),
-					obs.F("slot", dev.slot),
-					obs.F("error", err.Error()))
-			}
-		}
-	}
-
+// score runs the divergence state machine on the slot closeWindow just
+// recorded, then advances the slot. Reports whether a replan fired.
+func (d *Daemon) score(ctx context.Context, dev *device) bool {
 	// Divergence with hysteresis: a slot is breached when either
 	// signal's relative error exceeds the threshold. hysteresisUp
 	// consecutive breaches arm a replan (entering cooldown at the same
@@ -605,9 +680,9 @@ func (d *Daemon) flushDevice(ctx, tickCtx context.Context, dev *device) bool {
 	rel := func(obs, plan float64) float64 {
 		return math.Abs(obs-plan) / math.Max(math.Abs(plan), divergenceFloorW)
 	}
-	dev.divergence = math.Max(rel(usageW, dev.plannedUsage[dev.slot]),
-		rel(chargeW, dev.plannedCharging[dev.slot]))
-	if dev.divergence > cfg.DivergenceThreshold {
+	dev.divergence = math.Max(rel(dev.obsUsage[dev.slot], dev.plannedUsage[dev.slot]),
+		rel(dev.obsCharging[dev.slot], dev.plannedCharging[dev.slot]))
+	if dev.divergence > d.cfg.DivergenceThreshold {
 		dev.clearStreak = 0
 		dev.breachStreak++
 		if !dev.cooldown && dev.breachStreak >= hysteresisUp {
@@ -758,8 +833,8 @@ func (d *Daemon) DeviceStatuses() []DeviceStatus {
 	if d.closed {
 		return nil
 	}
-	var out []DeviceStatus
-	for _, dev := range d.devices {
+	out := make([]DeviceStatus, 0, len(d.sorted))
+	for _, dev := range d.sorted {
 		ds := DeviceStatus{
 			DeviceID:      dev.id,
 			Slot:          dev.slot,
@@ -775,7 +850,6 @@ func (d *Daemon) DeviceStatuses() []DeviceStatus {
 		}
 		out = append(out, ds)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
 	return out
 }
 

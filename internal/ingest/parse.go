@@ -95,11 +95,22 @@ type Sample struct {
 // otherwise the sample is zero and reason names the drop counter to
 // bump. The input slice is never retained.
 func ParseLine(line []byte) (Sample, string) {
+	device, s, reason := parseLine(line)
+	if reason == "" {
+		s.Device = string(device)
+	}
+	return s, reason
+}
+
+// parseLine is ParseLine without the device-id copy: it returns the
+// device as a subslice of line and leaves Sample.Device empty, so the
+// daemon can look the device up by its bytes without allocating.
+func parseLine(line []byte) ([]byte, Sample, string) {
 	if len(line) == 0 {
-		return Sample{}, DropEmpty
+		return nil, Sample{}, DropEmpty
 	}
 	if len(line) > MaxLineBytes {
-		return Sample{}, DropOversize
+		return nil, Sample{}, DropOversize
 	}
 	colon := -1
 	for i := 0; i < len(line); i++ {
@@ -109,7 +120,7 @@ func ParseLine(line []byte) (Sample, string) {
 		}
 	}
 	if colon <= 0 {
-		return Sample{}, DropMalformed
+		return nil, Sample{}, DropMalformed
 	}
 	name := line[:colon]
 	rest := line[colon+1:]
@@ -121,7 +132,7 @@ func ParseLine(line []byte) (Sample, string) {
 		}
 	}
 	if pipe <= 0 {
-		return Sample{}, DropMalformed
+		return nil, Sample{}, DropMalformed
 	}
 	valueText := rest[:pipe]
 	typeText := rest[pipe+1:]
@@ -132,11 +143,11 @@ func ParseLine(line []byte) (Sample, string) {
 		tail := typeText[i+1:]
 		typeText = typeText[:i]
 		if len(tail) < 2 || tail[0] != '@' {
-			return Sample{}, DropRate
+			return nil, Sample{}, DropRate
 		}
 		r, err := strconv.ParseFloat(string(tail[1:]), 64)
 		if err != nil || math.IsNaN(r) || r <= 0 || r > 1 {
-			return Sample{}, DropRate
+			return nil, Sample{}, DropRate
 		}
 		rate = r
 	}
@@ -148,7 +159,7 @@ func ParseLine(line []byte) (Sample, string) {
 	case len(typeText) == 1 && typeText[0] == 'g':
 		kind = KindGauge
 	default:
-		return Sample{}, DropType
+		return nil, Sample{}, DropType
 	}
 
 	// Split <device>.<field> on the LAST dot so device ids may
@@ -161,27 +172,27 @@ func ParseLine(line []byte) (Sample, string) {
 		}
 	}
 	if dot <= 0 || dot == len(name)-1 {
-		return Sample{}, DropName
+		return nil, Sample{}, DropName
 	}
 	device, field := name[:dot], name[dot+1:]
 	switch string(field) {
 	case FieldEvents:
 		if kind != KindCounter {
-			return Sample{}, DropType
+			return nil, Sample{}, DropType
 		}
 	case FieldCharge:
 		if kind != KindGauge {
-			return Sample{}, DropType
+			return nil, Sample{}, DropType
 		}
 	default:
-		return Sample{}, DropName
+		return nil, Sample{}, DropName
 	}
 	for i := 0; i < len(device); i++ {
 		// Printable ASCII without protocol delimiters; anything else
 		// (control bytes, UTF-8 confusables, embedded ':'/'|') drops.
 		c := device[i]
 		if c <= ' ' || c >= 0x7f || c == ':' || c == '|' {
-			return Sample{}, DropName
+			return nil, Sample{}, DropName
 		}
 	}
 
@@ -191,15 +202,15 @@ func ParseLine(line []byte) (Sample, string) {
 	}
 	v, err := strconv.ParseFloat(string(valueText), 64)
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return Sample{}, DropValue
+		return nil, Sample{}, DropValue
 	}
 	if kind == KindCounter {
 		if v < 0 {
-			return Sample{}, DropValue
+			return nil, Sample{}, DropValue
 		}
 		v /= rate
 	}
-	return Sample{Device: string(device), Kind: kind, Value: v, Delta: delta}, ""
+	return device, Sample{Kind: kind, Value: v, Delta: delta}, ""
 }
 
 func indexByte(b []byte, c byte) int {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -227,23 +226,24 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, body)
 }
 
-// tickBody applies one tick and renders its exact wire body — shared
-// verbatim by /v1/fleet/tick and every /v1/fleet/bulk-tick item so
-// the two are byte-identical.
-func (s *Server) tickBody(r *http.Request, req *FleetTickRequest) ([]byte, error) {
+// tickSpec converts one wire tick into the fleet's form.
+func tickSpec(req *FleetTickRequest) fleet.TickSpec {
 	reports := make([]pipeline.SlotReport, len(req.Slots))
 	for i, rep := range req.Slots {
 		reports[i] = pipeline.SlotReport(rep)
 	}
-	res, err := s.fleet.Tick(r.Context(), fleet.TickSpec{
+	return fleet.TickSpec{
 		DeviceID:     req.DeviceID,
 		Seq:          req.Seq,
 		Reports:      reports,
 		IncludeState: req.IncludeState,
-	})
-	if err != nil {
-		return nil, err
 	}
+}
+
+// tickResponse renders one tick result's exact wire body — shared by
+// /v1/fleet/tick and every /v1/fleet/bulk-tick item so the two are
+// byte-identical.
+func tickResponse(res *fleet.TickResult) ([]byte, error) {
 	return marshalBody(&FleetTickResponse{
 		Plan:     res.Plan,
 		ChargeJ:  res.ChargeJ,
@@ -262,9 +262,14 @@ func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	body, err := s.tickBody(r, &req)
+	res, err := s.fleet.Tick(r.Context(), tickSpec(&req))
 	if err != nil {
 		s.fleetFail(w, r, err)
+		return
+	}
+	body, err := tickResponse(&res)
+	if err != nil {
+		s.fail(w, r, err)
 		return
 	}
 	if err := r.Context().Err(); err != nil {
@@ -274,12 +279,11 @@ func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, body)
 }
 
-// handleFleetBulkTick ticks N devices in one call. Every item runs
-// the exact /v1/fleet/tick flow, fanned across at most the worker
-// pool's parallelism (ticks for different devices run concurrently in
-// their partitions; same-device items serialize in partition order),
-// and failures are reported per item so one unknown device does not
-// void the rest of the batch.
+// handleFleetBulkTick ticks N devices in one call through one
+// fleet.Manager.TickBatch: items apply in request order per device,
+// each partition's lock is taken once, and failures are reported per
+// item so one unknown device does not void the rest of the batch.
+// Every item's body is exactly what /v1/fleet/tick would answer.
 func (s *Server) handleFleetBulkTick(w http.ResponseWriter, r *http.Request) {
 	var req FleetBulkTickRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -295,21 +299,32 @@ func (s *Server) handleFleetBulkTick(w http.ResponseWriter, r *http.Request) {
 			len(req.Ticks), scenario.MaxBatch))
 		return
 	}
-	ctx := r.Context()
-	results := make([]BatchItem, len(req.Ticks))
-	pipeline.ForEach(ctx, len(req.Ticks), s.cfg.PoolSize, func(ctx context.Context, i int) {
-		body, err := s.tickBody(r.WithContext(ctx), &req.Ticks[i])
+	n := len(req.Ticks)
+	specs := make([]fleet.TickSpec, n)
+	for i := range req.Ticks {
+		specs[i] = tickSpec(&req.Ticks[i])
+	}
+	res := make([]fleet.TickResult, n)
+	errs := make([]error, n)
+	s.fleet.TickBatch(r.Context(), specs, res, errs)
+	results := make([]BatchItem, n)
+	for i := range results {
+		var body []byte
+		err := errs[i]
+		if err == nil {
+			body, err = tickResponse(&res[i])
+		}
 		if err != nil {
 			status, msg := fleetErrorBody(err)
 			results[i] = BatchItem{Status: status, Body: errorJSON(status, msg)}
-			return
+			continue
 		}
 		results[i] = BatchItem{
 			Status: http.StatusOK,
 			Body:   json.RawMessage(bytes.TrimSuffix(body, []byte("\n"))),
 		}
-	})
-	if err := ctx.Err(); err != nil {
+	}
+	if err := r.Context().Err(); err != nil {
 		s.fail(w, r, err)
 		return
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"slices"
 	"time"
 
 	"dpm/internal/fleet"
@@ -27,13 +28,20 @@ import (
 //
 // Both answer 404 when ingestion is disabled.
 
-// fleetBridge implements ingest.Replanner on the fleet manager.
-type fleetBridge struct{ fleet *fleet.Manager }
+// fleetBridge implements ingest.Replanner and ingest.BatchTicker on
+// the fleet manager.
+type fleetBridge struct {
+	fleet *fleet.Manager
+	// specs and reports are TickBatch's reused buffers; the daemon
+	// calls it under its lock, one flush at a time.
+	specs   []fleet.TickSpec
+	reports []pipeline.SlotReport
+}
 
 // Tick streams one closed flush window into the device's session as a
 // completed-slot report — the same Algorithm 3 path /v1/fleet/tick
 // drives, minus the HTTP envelope.
-func (b fleetBridge) Tick(ctx context.Context, deviceID string, o ingest.SlotObservation) error {
+func (b *fleetBridge) Tick(ctx context.Context, deviceID string, o ingest.SlotObservation) error {
 	_, err := b.fleet.Tick(ctx, fleet.TickSpec{
 		DeviceID: deviceID,
 		Reports:  []pipeline.SlotReport{{UsedJ: o.UsedJ, SuppliedJ: o.SuppliedJ}},
@@ -41,9 +49,24 @@ func (b fleetBridge) Tick(ctx context.Context, deviceID string, o ingest.SlotObs
 	return err
 }
 
+// TickBatch streams a whole flush's closed windows through one
+// fleet.Manager.TickBatch, asking for no results: the loop needs only
+// the errors.
+func (b *fleetBridge) TickBatch(ctx context.Context, ticks []ingest.SlotTick, errs []error) {
+	n := len(ticks)
+	b.specs = slices.Grow(b.specs[:0], n)[:n]
+	b.reports = slices.Grow(b.reports[:0], n)[:n]
+	for i := range ticks {
+		t := &ticks[i]
+		b.reports[i] = pipeline.SlotReport{UsedJ: t.UsedJ, SuppliedJ: t.SuppliedJ}
+		b.specs[i] = fleet.TickSpec{DeviceID: t.DeviceID, Reports: b.reports[i : i+1]}
+	}
+	b.fleet.TickBatch(ctx, b.specs, nil, errs)
+}
+
 // Replan rebuilds the device's session from the live forecasts; see
 // fleet.Manager.Replan.
-func (b fleetBridge) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) error {
+func (b *fleetBridge) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) error {
 	_, err := b.fleet.Replan(ctx, deviceID, usage, charging)
 	return err
 }
@@ -57,7 +80,7 @@ func newIngest(s *Server) (*ingest.Daemon, error) {
 		Predictor:           s.cfg.IngestPredictor,
 		DivergenceThreshold: s.cfg.DivergenceThreshold,
 		EventEnergyJ:        s.cfg.IngestEventEnergyJ,
-		Replanner:           fleetBridge{fleet: s.fleet},
+		Replanner:           &fleetBridge{fleet: s.fleet},
 		Stages:              s.tel.stages,
 		Log:                 s.cfg.AccessLog,
 	})
