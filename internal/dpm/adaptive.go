@@ -3,7 +3,6 @@ package dpm
 import (
 	"fmt"
 
-	"dpm/internal/battery"
 	"dpm/internal/predict"
 	"dpm/internal/schedule"
 )
@@ -36,15 +35,11 @@ func SimulateAdaptive(cfg AdaptiveConfig) (*SimResult, error) {
 	if len(cfg.ActualPeriods) == 0 {
 		return nil, fmt.Errorf("dpm: adaptive run needs at least one actual period")
 	}
-	bat, err := battery.New(battery.Config{
-		CapacityMax: cfg.Base.CapacityMax,
-		CapacityMin: cfg.Base.CapacityMin,
-		Initial:     cfg.Base.InitialCharge,
-	})
+	bat, err := newBattery(cfg.Base)
 	if err != nil {
-		return nil, fmt.Errorf("dpm: battery: %w", err)
+		return nil, err
 	}
-
+	loop := SimConfig{Battery: cfg.Battery, SyncCharge: true}
 	expected := cfg.Base.Charging
 	res := &SimResult{}
 	var prev *Manager
@@ -66,50 +61,14 @@ func SimulateAdaptive(cfg AdaptiveConfig) (*SimResult, error) {
 			mgr.current = prev.current
 			mgr.started = true
 		}
-
-		tau := mgr.Tau()
 		for s := 0; s < mgr.Slots(); s++ {
-			planned := mgr.PlannedPower()
-			point, overhead := mgr.BeginSlot()
-			if (periodIdx > 0 || s > 0) && len(res.Records) > 0 &&
-				point != res.Records[len(res.Records)-1].Point {
-				res.Switches++
+			if err := runSlot(res, bat, mgr, mgr.chooseSlot, &loop, periodIdx*mgr.Slots()+s, actual.Values[s]); err != nil {
+				return nil, err
 			}
-			usedPower := point.Power + overhead/tau
-			supplyPower := actual.Values[s]
-			requested := usedPower * tau
-			delivered := cfg.Battery.Step(bat, supplyPower, usedPower, tau)
-			if requested > 0 {
-				res.PerfSeconds += point.Perf * tau * (delivered / requested)
-			}
-			mgr.EndSlot(delivered, supplyPower*tau)
-			mgr.SyncCharge(bat.Charge())
-			res.Records = append(res.Records, SlotRecord{
-				Time:          (float64(periodIdx)*float64(mgr.Slots()) + float64(s)) * tau,
-				Planned:       planned,
-				Point:         point,
-				UsedPower:     usedPower,
-				SuppliedPower: supplyPower,
-				Charge:        bat.Charge(),
-				Plan:          mgr.PlanSnapshot(),
-			})
 		}
 		prev = mgr
-
-		if cfg.Predictor != nil {
-			if err := cfg.Predictor.Observe(actual); err != nil {
-				return nil, fmt.Errorf("dpm: period %d observe: %w", periodIdx, err)
-			}
-			predicted, err := cfg.Predictor.Predict()
-			switch {
-			case predict.IsInsufficientHistory(err):
-				// A windowed predictor still warming up: keep planning on
-				// the current expectation until it has enough periods.
-			case err != nil:
-				return nil, fmt.Errorf("dpm: period %d predict: %w", periodIdx, err)
-			default:
-				expected = predicted
-			}
+		if expected, err = predict.Advance(cfg.Predictor, actual, expected); err != nil {
+			return nil, fmt.Errorf("dpm: period %d: %w", periodIdx, err)
 		}
 	}
 	res.Battery = bat.Snapshot()

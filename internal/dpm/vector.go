@@ -1,9 +1,9 @@
 package dpm
 
 import (
+	"context"
 	"fmt"
 
-	"dpm/internal/battery"
 	"dpm/internal/params"
 )
 
@@ -102,9 +102,10 @@ func (m *VectorManager) vectorSwitchCost(from, to params.VectorPoint) float64 {
 }
 
 // BeginSlotVector chooses the per-processor assignment for the
-// current slot, applying the same overhead-aware switching rule as
-// the homogeneous manager. It returns the assignment and the
-// switching energy charged at this boundary.
+// current slot, applying the homogeneous manager's switching test
+// (params.Config.TakeSwitch) to moves priced by vectorSwitchCost. It
+// returns the assignment and the switching energy charged at this
+// boundary.
 func (m *VectorManager) BeginSlotVector() (params.VectorPoint, float64, error) {
 	budget, _ := m.SlotBudget()
 	candidate, err := m.selectAssignment(budget)
@@ -118,14 +119,9 @@ func (m *VectorManager) BeginSlotVector() (params.VectorPoint, float64, error) {
 		m.vstarted = true
 	case vectorEqual(m.vcurrent, candidate):
 		// keep
-	case candidate.Power < m.vcurrent.Power:
-		// Downgrades always happen: staying would overdraw.
-		overhead = m.vectorSwitchCost(m.vcurrent, candidate)
-		m.vcurrent = candidate
 	default:
-		gain := (candidate.Perf - m.vcurrent.Perf) * m.tau
 		cost := m.vectorSwitchCost(m.vcurrent, candidate)
-		if gain > cost {
+		if m.cfg.Params.TakeSwitch(m.vcurrent.Power, m.vcurrent.Perf, candidate.Power, candidate.Perf, m.tau, cost) {
 			overhead = cost
 			m.vcurrent = candidate
 		}
@@ -137,76 +133,33 @@ func (m *VectorManager) BeginSlotVector() (params.VectorPoint, float64, error) {
 // BeginSlotVector.
 func (m *VectorManager) CurrentVector() params.VectorPoint { return m.vcurrent }
 
-// SimulateVector runs the per-processor manager closed-loop, the
-// vector counterpart of Simulate. Records carry a synthetic
-// OperatingPoint whose N and Power mirror the assignment (F is the
-// fastest clock) so the result type stays shared.
+// chooseSlot is BeginSlotVector as the closed loop consumes it: the
+// assignment maps to a synthetic OperatingPoint whose N and Power
+// mirror it (F and V are the fastest clock's), and it counts as
+// switched when its clocks differ from the previous slot's.
+func (m *VectorManager) chooseSlot() (params.OperatingPoint, float64, bool, error) {
+	prev, started := m.vcurrent, m.vstarted
+	vp, overhead, err := m.BeginSlotVector()
+	if err != nil {
+		return params.OperatingPoint{}, 0, false, err
+	}
+	point := params.OperatingPoint{N: vp.N(), Power: vp.Power, Perf: vp.Perf}
+	if vp.N() > 0 {
+		point.F = vp.Freqs[0]
+		point.V = vp.Volts[0]
+	}
+	return point, overhead, started && !vectorEqual(vp, prev), nil
+}
+
+// SimulateVector runs the per-processor manager through the same
+// closed loop as Simulate. Records carry chooseSlot's synthetic
+// OperatingPoint so the result type stays shared.
 func SimulateVector(cfg SimConfig) (*SimResult, error) {
-	if cfg.Periods <= 0 {
-		return nil, fmt.Errorf("dpm: non-positive period count %d", cfg.Periods)
-	}
-	mgr, err := NewVector(cfg.Manager)
-	if err != nil {
-		return nil, err
-	}
-	actual := cfg.ActualCharging
-	if actual == nil {
-		actual = cfg.Manager.Charging
-	}
-	if actual.Len() != mgr.Slots() {
-		return nil, fmt.Errorf("dpm: actual charging has %d slots, plan has %d", actual.Len(), mgr.Slots())
-	}
-	bat, err := battery.New(battery.Config{
-		CapacityMax: cfg.Manager.CapacityMax,
-		CapacityMin: cfg.Manager.CapacityMin,
-		Initial:     cfg.Manager.InitialCharge,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dpm: battery: %w", err)
-	}
-
-	res := &SimResult{}
-	tau := mgr.Tau()
-	var prev params.VectorPoint
-	for s := 0; s < cfg.Periods*mgr.Slots(); s++ {
-		idx := s % mgr.Slots()
-		planned := mgr.PlannedPower()
-		vp, overhead, err := mgr.BeginSlotVector()
+	return simulate(context.Background(), cfg, func() (*Manager, chooseFunc, error) {
+		m, err := NewVector(cfg.Manager)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if s > 0 && !vectorEqual(vp, prev) {
-			res.Switches++
-		}
-		prev = vp
-
-		usedPower := vp.Power + overhead/tau
-		supplyPower := actual.Values[idx]
-		requested := usedPower * tau
-		delivered := cfg.Battery.Step(bat, supplyPower, usedPower, tau)
-		if requested > 0 {
-			res.PerfSeconds += vp.Perf * tau * (delivered / requested)
-		}
-		mgr.EndSlot(delivered, supplyPower*tau)
-		if cfg.SyncCharge {
-			mgr.SyncCharge(bat.Charge())
-		}
-
-		point := params.OperatingPoint{N: vp.N(), Power: vp.Power, Perf: vp.Perf}
-		if vp.N() > 0 {
-			point.F = vp.Freqs[0]
-			point.V = vp.Volts[0]
-		}
-		res.Records = append(res.Records, SlotRecord{
-			Time:          float64(s) * tau,
-			Planned:       planned,
-			Point:         point,
-			UsedPower:     usedPower,
-			SuppliedPower: supplyPower,
-			Charge:        bat.Charge(),
-			Plan:          mgr.PlanSnapshot(),
-		})
-	}
-	res.Battery = bat.Snapshot()
-	return res, nil
+		return m.Manager, m.chooseSlot, nil
+	})
 }

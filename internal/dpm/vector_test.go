@@ -156,3 +156,38 @@ func TestNewHeteroEmptyFleet(t *testing.T) {
 		t.Error("empty fleet must error")
 	}
 }
+
+// upwardSwitches counts the slots after the first whose operating
+// point draws more power than the previous slot's.
+func upwardSwitches(res *SimResult) int {
+	n := 0
+	for i := 1; i < len(res.Records); i++ {
+		if res.Records[i].Point.Power > res.Records[i-1].Point.Power {
+			n++
+		}
+	}
+	return n
+}
+
+// Both managers apply Algorithm 2's one switching test: valued at
+// PerfValue = 1e-9 J per perf·second, no performance gain pays for
+// OHn/OHf = 0.5/1 J, so after its first slot neither manager ever
+// moves to a point that draws more power.
+func TestVectorSwitchingHonoursPerfValue(t *testing.T) {
+	cfg := managerConfig(t, trace.ScenarioI())
+	cfg.Params.OverheadProc, cfg.Params.OverheadFreq, cfg.Params.PerfValue = 0.5, 1, 1e-9
+	hom, err := Simulate(SimConfig{Manager: cfg, Periods: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := SimulateVector(SimConfig{Manager: cfg, Periods: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := upwardSwitches(hom); got != 0 {
+		t.Errorf("homogeneous manager: %d upward switches", got)
+	}
+	if got := upwardSwitches(vec); got != 0 {
+		t.Errorf("vector manager: %d upward switches", got)
+	}
+}

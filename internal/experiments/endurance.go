@@ -131,6 +131,8 @@ func Endurance(cfg EnduranceConfig) (*EnduranceResult, error) {
 			return nil, fmt.Errorf("experiments: period %d: %w", p, err)
 		}
 
+		// The slot body mirrors dpm's closed loop but cannot share it:
+		// the battery ages between the draw and the charge sync.
 		tau := mgr.Tau()
 		suppliedBefore := bat.TotalSupplied()
 		deliveredBefore := bat.TotalDelivered()
@@ -167,19 +169,8 @@ func Endurance(cfg EnduranceConfig) (*EnduranceResult, error) {
 		})
 		prevWasted, prevUnder = bat.Wasted(), bat.Undersupplied()
 
-		if cfg.Predictor != nil {
-			if err := cfg.Predictor.Observe(actual); err != nil {
-				return nil, err
-			}
-			predicted, perr := cfg.Predictor.Predict()
-			switch {
-			case predict.IsInsufficientHistory(perr):
-				// Keep the current expectation until the window fills.
-			case perr != nil:
-				return nil, perr
-			default:
-				expected = predicted
-			}
+		if expected, err = predict.Advance(cfg.Predictor, actual, expected); err != nil {
+			return nil, err
 		}
 	}
 	res.Battery = bat.Snapshot()

@@ -129,6 +129,22 @@ func (c Config) validate() error {
 	return nil
 }
 
+// TakeSwitch is Algorithm 2's lines 14–22 switching test, the one
+// copy every operating-point chooser applies: Table.ShouldSwitch, the
+// columnar PlanInto walk and the per-processor manager in package dpm.
+// The caller has already found the candidate different from the
+// current point and priced the move at cost joules. A move to a point
+// that draws less power is always taken: staying would overdraw the
+// allocation. A move up is taken only if the performance gained over
+// one slot of length tau, valued at PerfValue joules per perf·second,
+// exceeds the cost.
+func (c Config) TakeSwitch(fromPower, fromPerf, toPower, toPerf, tau, cost float64) bool {
+	if toPower < fromPower {
+		return true
+	}
+	return (toPerf-fromPerf)*tau*c.perfValue() > cost
+}
+
 func (c Config) perfValue() float64 {
 	if c.PerfValue == 0 {
 		return 1
@@ -303,20 +319,10 @@ func (t *Table) SwitchCost(from, to OperatingPoint) float64 {
 	return cost
 }
 
-// ShouldSwitch implements Algorithm 2's lines 14–22 test: switch to
-// the candidate only if the performance gained over one slot of
-// length tau, valued at PerfValue joules per perf·second, exceeds the
-// switching overhead. Moves to a cheaper point when the budget drops
-// are always taken: staying would overdraw the allocation.
+// ShouldSwitch applies Algorithm 2's switching test (TakeSwitch) to a
+// move between two table points priced by SwitchCost.
 func (t *Table) ShouldSwitch(from, to OperatingPoint, tau float64) bool {
-	if from == to {
-		return false
-	}
-	if to.Power < from.Power {
-		return true
-	}
-	gain := (to.Perf - from.Perf) * tau * t.cfg.perfValue()
-	return gain > t.SwitchCost(from, to)
+	return from != to && t.cfg.TakeSwitch(from.Power, from.Perf, to.Power, to.Perf, tau, t.SwitchCost(from, to))
 }
 
 // PlanStep is one slot of a parameter plan.
@@ -334,23 +340,6 @@ type PlanStep struct {
 	OverheadEnergy float64
 }
 
-// shouldSwitchIdx is ShouldSwitch on frontier indices. Frontier
-// performance is strictly increasing, so distinct indices are
-// distinct points and index equality is exactly the struct equality
-// the point-based test starts with; the budget-drop and gain tests
-// read the columnar powers/perfs directly and only materialize the
-// points for SwitchCost once a switch is actually being priced.
-func (t *Table) shouldSwitchIdx(from, to int, tau float64) bool {
-	if from == to {
-		return false
-	}
-	if t.powers[to] < t.powers[from] {
-		return true
-	}
-	gain := (t.perfs[to] - t.perfs[from]) * tau * t.cfg.perfValue()
-	return gain > t.SwitchCost(t.points[from], t.points[to])
-}
-
 // Plan walks a power-allocation grid and picks an operating point
 // per slot, applying the overhead-aware switching rule. The returned
 // steps include the energy actually drawn, which the dpm package's
@@ -361,10 +350,12 @@ func (t *Table) Plan(allocation []float64, tau float64) []PlanStep {
 
 // PlanInto is Plan writing into dst, which must have len(allocation)
 // entries; it returns dst. The walk is columnar: each slot's
-// selection binary-searches the contiguous powers column and the
-// switching test compares frontier indices, so the per-slot loop
+// selection binary-searches the contiguous powers column. Frontier
+// performance is strictly increasing, so distinct indices are
+// distinct points and only a changed index reaches the switching
+// test, which reads the columnar powers/perfs. The per-slot loop
 // carries one integer of state and touches the 48-byte point structs
-// only when writing the chosen step.
+// only to price a switch and to write the chosen step.
 func (t *Table) PlanInto(dst []PlanStep, allocation []float64, tau float64) []PlanStep {
 	current := 0
 	for i, budget := range allocation {
@@ -373,10 +364,13 @@ func (t *Table) PlanInto(dst []PlanStep, allocation []float64, tau float64) []Pl
 		overhead := 0.0
 		if i == 0 {
 			current = candidate
-		} else if t.shouldSwitchIdx(current, candidate, tau) {
-			overhead = t.SwitchCost(t.points[current], t.points[candidate])
-			current = candidate
-			switched = true
+		} else if candidate != current {
+			cost := t.SwitchCost(t.points[current], t.points[candidate])
+			if t.cfg.TakeSwitch(t.powers[current], t.perfs[current], t.powers[candidate], t.perfs[candidate], tau, cost) {
+				overhead = cost
+				current = candidate
+				switched = true
+			}
 		}
 		dst[i] = PlanStep{
 			Slot:           i,

@@ -74,6 +74,28 @@ type Predictor interface {
 	Name() string
 }
 
+// Advance is the per-period warm-up rule of every closed loop that
+// re-plans from history: it feeds p the period just completed and
+// returns the expectation to plan the next period with — p's
+// forecast, or current while p still lacks the history it needs
+// (IsInsufficientHistory) or when p is nil.
+func Advance(p Predictor, period, current *schedule.Grid) (*schedule.Grid, error) {
+	if p == nil {
+		return current, nil
+	}
+	if err := p.Observe(period); err != nil {
+		return nil, err
+	}
+	predicted, err := p.Predict()
+	switch {
+	case IsInsufficientHistory(err):
+		return current, nil
+	case err != nil:
+		return nil, err
+	}
+	return predicted, nil
+}
+
 // checkCompatible verifies a new observation against the established
 // geometry.
 func checkCompatible(have *schedule.Grid, incoming *schedule.Grid) error {
