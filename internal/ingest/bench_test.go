@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"dpm/internal/schedule"
@@ -76,6 +77,43 @@ func BenchmarkIngestFlush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Inject(datagram)
 		if _, err := d.FlushNow(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIngestWriteProm measures one /metrics render of the
+// dpmd_ingest_* families over 256 tracked 4-slot devices, each with a
+// forecast from one completed period.
+func BenchmarkIngestWriteProm(b *testing.B) {
+	d, err := New(Config{EventEnergyJ: 4.8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	g := schedule.NewGrid(4.8, []float64{1.2, 1.2, 1.2, 1.2})
+	var datagram []byte
+	for i := 0; i < 256; i++ {
+		id := fmt.Sprintf("dev-%03d", i)
+		if err := d.Track(id, g, g); err != nil {
+			b.Fatal(err)
+		}
+		datagram = append(datagram, []byte(id+".events:1|c\n"+id+".charge:1.2|g\n")...)
+	}
+	ctx := context.Background()
+	for s := 0; s < g.Len(); s++ {
+		d.Inject(datagram)
+		if _, err := d.FlushNow(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if ds := d.DeviceStatuses(); ds[len(ds)-1].ForecastUsage == nil {
+		b.Fatal("setup: no forecast after one period")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.WriteProm(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

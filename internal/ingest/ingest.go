@@ -51,6 +51,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -912,10 +913,24 @@ func (d *Daemon) WriteProm(w io.Writer) error {
 		score, score); err != nil {
 		return err
 	}
-	for _, ds := range d.DeviceStatuses() {
-		if _, err := fmt.Fprintf(w, "%s{device=%q} %g\n", score, ds.DeviceID, ds.Divergence); err != nil {
-			return err
+	// Render the per-device lines from the id-sorted devices under the
+	// lock, into one buffer written after it is released: a scrape
+	// copies no forecast grid and never holds the lock across a write.
+	var buf []byte
+	d.mu.Lock()
+	if !d.closed {
+		buf = make([]byte, 0, len(d.sorted)*(len(score)+48))
+		for _, dev := range d.sorted {
+			buf = append(buf, score+"{device="...)
+			buf = strconv.AppendQuote(buf, dev.id)
+			buf = append(buf, "} "...)
+			buf = strconv.AppendFloat(buf, dev.divergence, 'g', -1, 64)
+			buf = append(buf, '\n')
 		}
+	}
+	d.mu.Unlock()
+	if _, err := w.Write(buf); err != nil {
+		return err
 	}
 	return d.flushHist.WriteProm(w)
 }

@@ -445,3 +445,57 @@ func TestNewValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePromDivergenceSection pins the dpmd_ingest_divergence_score
+// exposition: one line per tracked device, in id order, rendering the
+// id with %q and the score with %g exactly as DeviceStatuses reports
+// them.
+func TestWritePromDivergenceSection(t *testing.T) {
+	d, err := New(Config{EventEnergyJ: 1.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const slots = 4
+	g := schedule.NewGrid(4.8, flat(slots, 1))
+	for _, id := range []string{"sat-b", "sat-a", "sat-c", `we"ird\id`, "naïve\tid"} {
+		if err := d.Track(id, g, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two periods at different rates leave each active device with a
+	// forecast and a distinct, non-round divergence score.
+	for p, rates := range [][]int{{1, 2, 3}, {3, 1, 7}} {
+		for s := 0; s < slots; s++ {
+			var b strings.Builder
+			for i, id := range []string{"sat-a", "sat-b", "sat-c"} {
+				fmt.Fprintf(&b, "%s.events:%d|c\n%s.charge:%g|g\n", id, rates[i]+s*p, id, 1.0/3)
+			}
+			d.Inject([]byte(b.String()))
+			if _, err := d.FlushNow(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want strings.Builder
+	const score = "dpmd_ingest_divergence_score"
+	fmt.Fprintf(&want, "# HELP %s Last observed-vs-planned relative error, by device.\n# TYPE %s gauge\n", score, score)
+	statuses := d.DeviceStatuses()
+	if len(statuses) != 5 || statuses[0].ForecastUsage == nil {
+		t.Fatalf("setup: %d devices, first forecast %v", len(statuses), statuses[0].ForecastUsage)
+	}
+	for _, ds := range statuses {
+		fmt.Fprintf(&want, "%s{device=%q} %g\n", score, ds.DeviceID, ds.Divergence)
+	}
+	var out strings.Builder
+	if err := d.WriteProm(&out); err != nil {
+		t.Fatal(err)
+	}
+	section, rest, ok := strings.Cut(out.String(), want.String())
+	if !ok {
+		t.Fatalf("divergence section missing; want\n%s\ngot\n%s", want.String(), out.String())
+	}
+	if !strings.HasSuffix(section, "dpmd_ingest_devices 5\n") || !strings.HasPrefix(rest, "# HELP dpmd_ingest_flush_duration_seconds") {
+		t.Errorf("divergence section out of place:\n%s", out.String())
+	}
+}
