@@ -12,9 +12,9 @@
 // Every specification is validated by internal/scenario before any
 // work runs, and the hot Algorithm 3 replan path reuses the manager's
 // scratch buffers (no per-slot allocation in steady state; see
-// dpm.Manager and dpm.SimConfig.OmitPlanSnapshots). PlanMany fans a
-// batch of plan specifications across a bounded worker pool — the
-// engine under dpmd's POST /v1/batch.
+// dpm.Manager and dpm.SimConfig.OmitPlanSnapshots). ForEach fans work
+// across a bounded worker pool — dpmd's POST /v1/batch calls it
+// directly — and PlanMany is its library form over plan specifications.
 package pipeline
 
 import (

@@ -318,3 +318,24 @@ func mustExp(t *testing.T, a float64) *Exponential {
 	}
 	return p
 }
+
+func TestAdvance(t *testing.T) {
+	current := grid(5, 5)
+	if got, err := Advance(nil, grid(1, 2), current); err != nil || got != current {
+		t.Errorf("nil predictor: %v, %v; want the current expectation", got, err)
+	}
+	// A moving average over two periods keeps the current expectation
+	// through its warm-up, then forecasts.
+	p := mustMA(t, 2)
+	if got, err := Advance(p, grid(1, 2), current); err != nil || got != current {
+		t.Errorf("warming up: %v, %v; want the current expectation", got, err)
+	}
+	got, err := Advance(p, grid(3, 4), current)
+	if err != nil || !got.Equal(grid(2, 3), 1e-12) {
+		t.Errorf("full window: %v, %v; want the mean [2 3]", got, err)
+	}
+	var ge *GeometryError
+	if _, err := Advance(p, grid(1, 2, 3), current); !errors.As(err, &ge) {
+		t.Errorf("mismatched period: err = %v, want *GeometryError", err)
+	}
+}
